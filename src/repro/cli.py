@@ -59,6 +59,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.common.config import ConfigError
+
 
 def _workers_argument(value: str) -> int:
     """Parse ``--workers N|auto`` (auto = 0, resolved to one per core)."""
@@ -116,13 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           " the per-subsystem wall-clock table")
     run.add_argument("--progress", action="store_true",
                      help="emit per-machine telemetry lines to stderr")
-    run.add_argument("--no-batched-dispatch", dest="batched_dispatch",
-                     action="store_false",
-                     help="disable the batched hot-path dispatch tables and"
-                          " columnar record buffer; archives, perf.json,"
-                          " metrics and span logs are byte-identical either"
-                          " way (this flag exists for differential testing"
-                          " and bisection)")
     _add_workers_option(run)
 
     study = sub.add_parser(
@@ -235,10 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--json", type=Path, default=None,
                          help="write the throughput baseline here (the CI"
                               " BENCH_throughput baseline)")
-    profile.add_argument("--no-batched-dispatch", dest="batched_dispatch",
-                         action="store_false",
-                         help="profile the unbatched dispatch path (for"
-                              " before/after throughput comparison)")
     _add_workers_option(profile)
 
     replay = sub.add_parser(
@@ -402,8 +393,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         verifier_enabled=args.verifier,
         metrics_interval_seconds=(DEFAULT_METRICS_INTERVAL_SECONDS
                                   if args.metrics else 0.0),
-        profile_enabled=args.profile,
-        batched_dispatch=args.batched_dispatch),
+        profile_enabled=args.profile),
         telemetry=telemetry)
     wall_seconds = time.perf_counter() - begin
     print(f"collected {result.total_records} records from "
@@ -717,12 +707,12 @@ def cmd_perf(args: argparse.Namespace) -> int:
         _print_perf_table(doc["machines"], len(doc["machines"]))
         return 0
 
+    config = StudyConfig(
+        n_machines=args.machines, duration_seconds=args.seconds,
+        seed=args.seed, content_scale=args.scale, workers=args.workers)
     telemetry = StudyTelemetry()
     with telemetry.phase("simulate"):
-        result = run_study(StudyConfig(
-            n_machines=args.machines, duration_seconds=args.seconds,
-            seed=args.seed, content_scale=args.scale,
-            workers=args.workers), telemetry=telemetry)
+        result = run_study(config, telemetry=telemetry)
     with telemetry.phase("warehouse"):
         warehouse = TraceWarehouse.from_study(result)
         _ = warehouse.instances
@@ -816,14 +806,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.nt.flight.profiler import (host_calibration_seconds,
                                           merge_profiles)
 
+    config = StudyConfig(
+        n_machines=args.machines, duration_seconds=args.seconds,
+        seed=args.seed, content_scale=args.scale,
+        workers=args.workers, profile_enabled=True)
     telemetry = StudyTelemetry()
     with telemetry.phase("simulate"):
-        result = run_study(StudyConfig(
-            n_machines=args.machines, duration_seconds=args.seconds,
-            seed=args.seed, content_scale=args.scale,
-            workers=args.workers, profile_enabled=True,
-            batched_dispatch=args.batched_dispatch),
-            telemetry=telemetry)
+        result = run_study(config, telemetry=telemetry)
     wall_seconds = telemetry.phase_seconds["simulate"]
     _print_profile(result.profiles, result.total_records, wall_seconds)
     if args.json is not None:
@@ -856,7 +845,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 "seconds": args.seconds,
                 "seed": args.seed,
                 "scale": args.scale,
-                "batched_dispatch": args.batched_dispatch,
                 "records": result.total_records,
                 "bin_calls": {name: data["calls"]
                               for name, data in merged.items()},
@@ -1145,7 +1133,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "metrics": cmd_metrics, "profile": cmd_profile,
                 "replay": cmd_replay, "whatif": cmd_whatif,
                 "spans": cmd_spans, "verify": cmd_verify}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ConfigError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -41,13 +41,6 @@ class IoManager:
 
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
-        config = machine.config
-        # Batched mode re-uses the FastIO parameter block as the fallback
-        # IRP when a driver declines (every record-relevant field is
-        # rewritten, so archives are identical).  The runtime verifier
-        # counts dispatches per packet, so reuse stays off under it.
-        self._reuse_declined_irp = (config.batched_dispatch
-                                    and not config.verifier_enabled)
         # Dispatch CPU charges in ticks, pre-scaled to this machine's
         # clock rate (the same int(round(...)) Machine.charge_cpu does).
         self._irp_dispatch_ticks = ticks_from_micros(
@@ -223,40 +216,29 @@ class IoManager:
     def read(self, fo: FileObject, offset: int, length: int,
              process_id: int) -> tuple[NtStatus, int]:
         """NtReadFile: FastIO when caching is initialised, else the IRP path."""
-        irp = None
         if self._fastio_eligible(fo):
-            irp = Irp(IrpMajor.READ, fo, process_id,
-                      offset=offset, length=length)
-            result = self.try_fastio(FastIoOp.READ, irp)
+            result = self.try_fastio(FastIoOp.READ, Irp(
+                IrpMajor.READ, fo, process_id, offset=offset, length=length))
             if result.handled:
                 return result.status, result.returned
-            if not self._reuse_declined_irp:
-                irp = None
-        if irp is None:
-            irp = Irp(IrpMajor.READ, fo, process_id,
-                      offset=offset, length=length)
+        irp = Irp(IrpMajor.READ, fo, process_id,
+                  offset=offset, length=length)
         status = self.send_irp(irp)
         return status, irp.returned
 
     def write(self, fo: FileObject, offset: int, length: int,
               process_id: int) -> tuple[NtStatus, int]:
         """NtWriteFile: FastIO when caching is initialised, else the IRP path."""
-        irp = None
         if self._fastio_eligible(fo):
-            irp = Irp(IrpMajor.WRITE, fo, process_id,
-                      offset=offset, length=length)
-            result = self.try_fastio(FastIoOp.WRITE, irp)
+            result = self.try_fastio(FastIoOp.WRITE, Irp(
+                IrpMajor.WRITE, fo, process_id, offset=offset, length=length))
             if result.handled:
                 return result.status, result.returned
-            if not self._reuse_declined_irp:
-                irp = None
-        write_through = fo.has_flag(FileObjectFlags.WRITE_THROUGH)
-        if irp is None:
-            flags = IrpFlags.WRITE_THROUGH if write_through else IrpFlags.NONE
-            irp = Irp(IrpMajor.WRITE, fo, process_id, flags=flags,
-                      offset=offset, length=length)
-        elif write_through:
-            irp.flags = int(IrpFlags.WRITE_THROUGH)
+        flags = (IrpFlags.WRITE_THROUGH
+                 if fo.has_flag(FileObjectFlags.WRITE_THROUGH)
+                 else IrpFlags.NONE)
+        irp = Irp(IrpMajor.WRITE, fo, process_id, flags=flags,
+                  offset=offset, length=length)
         status = self.send_irp(irp)
         return status, irp.returned
 

@@ -17,6 +17,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from repro.common.clock import SimClock, ticks_from_micros, ticks_from_seconds
+from repro.common.config import require
 from repro.nt.cache.cachemanager import CacheManager
 from repro.nt.flight.profiler import HotPathProfiler
 from repro.nt.flight.recorder import FlightRecorder
@@ -104,14 +105,20 @@ class MachineConfig:
     # from memory_mb * cache_memory_fraction as before; the whatif sweep
     # sets an explicit size per grid cell.
     cache_bytes: Optional[int] = None
-    # Batched hot-path dispatch (repro.nt.tracing.fastbuf): stage trace
-    # records as columnar array rows instead of per-record dataclasses,
-    # resolve each stack's IrpMajor->handler table once at mount, and
-    # re-use the FastIO parameter block as the fallback IRP on decline.
-    # Proven byte-identical to the classic path by the differential suite
-    # (tests/test_batched_differential.py), hence on by default; turn off
-    # to run the original per-record object path.
-    batched_dispatch: bool = True
+
+    def __post_init__(self) -> None:
+        require(self.cpu_mhz > 0,
+                f"cpu_mhz must be positive, got {self.cpu_mhz!r}")
+        require(self.memory_mb > 0,
+                f"memory_mb must be positive, got {self.memory_mb!r}")
+        require(0.0 <= self.fastio_decline_probability <= 1.0,
+                f"fastio_decline_probability must be in [0, 1], "
+                f"got {self.fastio_decline_probability!r}")
+        require(self.metrics_interval_seconds >= 0,
+                f"metrics_interval_seconds must be >= 0, "
+                f"got {self.metrics_interval_seconds!r}")
+        require(self.cache_bytes is None or self.cache_bytes > 0,
+                f"cache_bytes must be positive, got {self.cache_bytes!r}")
 
 
 class Process:
@@ -236,14 +243,10 @@ class Machine:
             storage_device = DeviceObject(self._storage, volume,
                                           f"{volume.label}-storage")
             fs_device.attach_on_top_of(storage_device)
-        filter_driver = TraceFilterDriver(
-            self.io, self.collector,
-            batched=self.config.batched_dispatch)
+        filter_driver = TraceFilterDriver(self.io, self.collector)
         filter_device = DeviceObject(filter_driver, volume,
                                      f"{volume.label}-filter")
         filter_device.attach_on_top_of(fs_device)
-        if self.config.batched_dispatch:
-            filter_driver.bind_fast_path(fs_device)
         self.io.register_stack(volume, filter_device)
         return filter_device
 

@@ -8,8 +8,6 @@ snapshots for one machine, ready for the analysis warehouse.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from typing import TYPE_CHECKING
 
 from repro.nt.tracing.fastbuf import RECORD_FIELDS, records_from_block
@@ -25,11 +23,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class TraceCollector:
     """Accumulates one machine's tracing output.
 
-    Trace records arrive either as dataclass batches (the classic
-    triple-buffer path) or as columnar ``array('q')`` blocks (the batched
-    fast path, :mod:`repro.nt.tracing.fastbuf`).  Blocks are kept staged:
-    the store encoder packs them directly, and :attr:`records`
-    materialises them into dataclasses only when analysis asks.
+    Trace records arrive as columnar ``array('q')`` blocks from the
+    filter's record buffer (:mod:`repro.nt.tracing.fastbuf`).  Blocks are
+    kept staged: the store encoder packs them directly, and
+    :attr:`records` materialises them into dataclasses only when analysis
+    asks.
     """
 
     def __init__(self, machine_name: str) -> None:
@@ -67,21 +65,13 @@ class TraceCollector:
         """(materialised records, staged blocks), in record order.
 
         The store encoder uses this to pack staged blocks directly —
-        without forcing materialisation — so archiving a batched run
-        never allocates per-record dataclasses.
+        without forcing materialisation — so archiving a run never
+        allocates per-record dataclasses.
         """
         return self._records, self._blocks
 
-    def receive(self, batch: Sequence[TraceRecord]) -> None:
-        """Accept a flushed trace buffer."""
-        if self._blocks:
-            # Keep record order if dataclass and columnar deliveries ever
-            # interleave (a machine uses exactly one path in practice).
-            self._materialise()
-        self._records.extend(batch)
-
     def receive_block(self, block: "array") -> None:
-        """Accept one columnar block from the batched fast path."""
+        """Accept one flushed columnar record block."""
         self._n_staged += len(block) // RECORD_FIELDS
         self._blocks.append(block)
 

@@ -1,23 +1,19 @@
-"""Array-backed trace record staging (the batched fast path).
+"""Trace record staging (§3.2).
 
-The classic record path allocates one frozen :class:`TraceRecord`
-dataclass per event and buffers it through the paper's triple-buffer
-scheme (:mod:`repro.nt.tracing.buffers`).  At fleet scale that per-record
-allocation dominates the simulator's inner loop, so machines built with
-``MachineConfig.batched_dispatch`` stage records *columnar* instead: each
-record is 15 signed 64-bit fields appended flat into an ``array('q')``
-block.  A full block flushes to the collector, which keeps blocks intact
-until analysis asks for dataclass records (lazy materialisation) or the
-store encoder packs them — on a little-endian host a block's
-``tobytes()`` is byte-for-byte the concatenation of the ``<15q`` structs
-the classic encoder writes, so archives stay byte-identical either way.
+The paper's driver kept three 3,000-record buffers, flushing a full buffer
+to the collection server while the next one filled.  An idle system filled
+a buffer in an hour; a loaded one in 3–5 seconds.  The simulator keeps the
+3,000-record flush granularity (and the buffer-rotation statistics) so the
+capacity maths of the paper can be tested, while "flushing" hands a block
+to the in-process collector.
+
+Records are staged *columnar*: each record is 15 signed 64-bit fields
+appended flat into an ``array('q')`` block, so the simulator's inner loop
+allocates no per-record object.  The collector keeps blocks intact until
+analysis asks for dataclass records (lazy materialisation) or the store
+encoder packs them — on a little-endian host a block's ``tobytes()`` is
+byte-for-byte the concatenation of the store's ``<15q`` record structs.
 Elsewhere the encoder falls back to per-row struct packing.
-
-Flush boundaries and statistics mirror
-:class:`~repro.nt.tracing.buffers.TripleBuffer` exactly — the same
-3,000-record capacity, flush-on-full, and end-of-run drain — so the
-``trace.buffer_flushes`` counter, ``perf.json``, and the flight
-recorder's ``.ntmetrics`` samples cannot tell the two paths apart.
 """
 
 from __future__ import annotations
@@ -27,8 +23,9 @@ import sys
 from array import array
 from typing import Callable, List
 
-from repro.nt.tracing.buffers import BUFFER_CAPACITY
 from repro.nt.tracing.records import TraceRecord
+
+BUFFER_CAPACITY = 3000
 
 # Fields per trace record; must match records.TraceRecord and the store's
 # ``<15q>`` record struct.
@@ -52,7 +49,7 @@ def pack_block(block: array) -> bytes:
 
 
 def records_from_block(block: array) -> List[TraceRecord]:
-    """Materialise a staged block into classic dataclass records."""
+    """Materialise a staged block into :class:`TraceRecord` dataclasses."""
     return [TraceRecord(*block[i:i + RECORD_FIELDS])
             for i in range(0, len(block), RECORD_FIELDS)]
 
@@ -60,10 +57,9 @@ def records_from_block(block: array) -> List[TraceRecord]:
 class FastRecordBuffer:
     """Fixed-capacity columnar record staging feeding a flush callback.
 
-    Statistic-compatible with :class:`TripleBuffer` (``records_seen``,
-    ``rotations``, ``active_fill``, ``drain``), but :meth:`append_row`
-    takes a record's 15 fields as a tuple of ints — no ``TraceRecord``
-    object exists on the hot path.
+    :meth:`append_row` takes a record's 15 fields as a tuple of ints — no
+    ``TraceRecord`` object exists on the hot path.  ``rotations`` counts
+    flushes of a full block, ``records_seen`` every appended record.
     """
 
     __slots__ = ("capacity", "_flush", "_buf", "_capacity_fields",

@@ -61,10 +61,10 @@ def pack_collector(collector: TraceCollector) -> bytes:
     """
     buf = io.BytesIO()
     _write_str(buf, collector.machine_name)
-    # Trace records.  Staged columnar blocks (the batched fast path) are
-    # packed directly — on little-endian hosts a straight memory copy —
-    # without materialising dataclasses; the bytes are identical to the
-    # per-record packing below.
+    # Trace records.  Staged columnar blocks are packed directly — on
+    # little-endian hosts a straight memory copy — without materialising
+    # dataclasses; the bytes are identical to the per-record packing
+    # below.
     records, blocks = collector.record_chunks()
     buf.write(struct.pack("<Q", len(collector)))
     for r in records:

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.common.clock import ticks_from_seconds
+from repro.common.config import require
 from repro.nt.flight.log import MetricsSection
 from repro.nt.fs.nodes import DirectoryNode
 from repro.nt.fs.path import split_path
@@ -90,11 +91,15 @@ class ReplayConfig:
     spans_enabled: bool = False
 
     def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise ValueError(
+        require(self.mode in _MODES,
                 f"replay mode must be one of {_MODES}, got {self.mode!r}")
-        if self.cache_mb is not None and self.cache_mb <= 0:
-            raise ValueError("cache_mb must be positive")
+        require(self.drain_seconds >= 0,
+                f"drain_seconds must be >= 0, got {self.drain_seconds!r}")
+        require(self.metrics_interval_seconds >= 0,
+                f"metrics_interval_seconds must be >= 0, "
+                f"got {self.metrics_interval_seconds!r}")
+        require(self.cache_mb is None or self.cache_mb > 0,
+                f"cache_mb must be positive, got {self.cache_mb!r}")
 
 
 @dataclass

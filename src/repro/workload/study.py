@@ -35,6 +35,7 @@ from typing import Iterator, Mapping, Optional, Sequence, TextIO
 import numpy as np
 
 from repro.common.clock import TICKS_PER_SECOND, ticks_from_seconds
+from repro.common.config import require
 from repro.nt.flight.log import MetricsSection
 from repro.nt.fs.disk import SCSI_ULTRA2_DISK
 from repro.nt.fs.volume import Volume
@@ -94,12 +95,25 @@ class StudyConfig:
     # --profile).  Wall-clock bins ride telemetry only — they never
     # enter archives or perf.json.
     profile_enabled: bool = False
-    # Batched hot-path dispatch (repro.nt.tracing.fastbuf / CLI
-    # --no-batched-dispatch to opt out): precomputed handler tables,
-    # columnar record staging, and declined-FastIO IRP reuse.  Archives,
-    # perf.json, metrics, and span logs stay byte-identical on or off
-    # (proven by tests/test_batched_differential.py).
-    batched_dispatch: bool = True
+
+    def __post_init__(self) -> None:
+        require(self.n_machines >= 1,
+                f"n_machines must be at least 1, got {self.n_machines!r}")
+        require(self.duration_seconds > 0,
+                f"duration_seconds must be positive, "
+                f"got {self.duration_seconds!r}")
+        require(0 < self.content_scale <= 1,
+                f"content_scale must be in (0, 1], "
+                f"got {self.content_scale!r}")
+        require(self.drain_seconds >= 0,
+                f"drain_seconds must be >= 0, got {self.drain_seconds!r}")
+        require(self.snapshot_interval_seconds is None
+                or self.snapshot_interval_seconds > 0,
+                f"snapshot_interval_seconds must be positive, "
+                f"got {self.snapshot_interval_seconds!r}")
+        require(self.metrics_interval_seconds >= 0,
+                f"metrics_interval_seconds must be >= 0, "
+                f"got {self.metrics_interval_seconds!r}")
 
 
 @dataclass
@@ -411,8 +425,7 @@ def simulate_machine(config: StudyConfig, index: int, category_name: str,
                           verifier_enabled=config.verifier_enabled,
                           metrics_interval_seconds=(
                               config.metrics_interval_seconds),
-                          profile_enabled=config.profile_enabled,
-                          batched_dispatch=config.batched_dispatch)
+                          profile_enabled=config.profile_enabled)
     machine = built.machine
     if config.with_network_shares:
         share = Volume(label=f"srv-{built.username}",

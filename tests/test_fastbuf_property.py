@@ -1,12 +1,12 @@
-"""Property tests for the columnar fast record buffer.
+"""Property tests for the columnar record buffer.
 
 Hypothesis-free: each property runs against many seeded-random record
 sequences (``random.Random(seed)``), so a failure reproduces exactly
 from the parametrised seed.  The property under test is always the same
 one the archive format depends on: a record stream staged through
 :class:`FastRecordBuffer` and packed as columnar blocks is
-indistinguishable — byte for byte and record for record — from the same
-stream pushed through the classic :class:`TripleBuffer` dataclass path.
+indistinguishable — byte for byte and record for record — from the
+store's ``<15q`` struct packing of each row and from ``TraceRecord(*row)``.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from array import array
 
 import pytest
 
-from repro.nt.tracing.buffers import BUFFER_CAPACITY, TripleBuffer
 from repro.nt.tracing.collector import TraceCollector
 from repro.nt.tracing.fastbuf import (
+    BUFFER_CAPACITY,
     RECORD_FIELDS,
     FastRecordBuffer,
     pack_block,
@@ -51,16 +51,32 @@ def _random_row(rng: random.Random) -> tuple:
     return tuple(fields)
 
 
-def _paired_collectors(rows, capacity):
-    """Feed ``rows`` down both paths; returns (fast, classic) collectors."""
-    fast = TraceCollector("m00")
-    classic = TraceCollector("m00")
-    fbuf = FastRecordBuffer(fast.receive_block, capacity=capacity)
-    tbuf = TripleBuffer(classic.receive, capacity=capacity)
+def _staged(rows, capacity):
+    """Stage ``rows`` through a record buffer; returns (collector, buffer)."""
+    collector = TraceCollector("m00")
+    buf = FastRecordBuffer(collector.receive_block, capacity=capacity)
     for row in rows:
-        fbuf.append_row(row)
-        tbuf.append(TraceRecord(*row))
-    return fast, classic, fbuf, tbuf
+        buf.append_row(row)
+    return collector, buf
+
+
+def _reference(rows) -> TraceCollector:
+    """The same stream as materialised ``TraceRecord(*row)`` dataclasses."""
+    collector = TraceCollector("m00")
+    collector.records.extend(TraceRecord(*row) for row in rows)
+    return collector
+
+
+def _struct_packed(rows) -> bytes:
+    return b"".join(struct.pack("<15q", *row) for row in rows)
+
+
+def _assert_matches_reference(collector, rows):
+    _records, blocks = collector.record_chunks()
+    assert b"".join(pack_block(b) for b in blocks) == _struct_packed(rows)
+    assert pack_collector(collector) == pack_collector(_reference(rows))
+    # Materialisation yields the very same dataclasses.
+    assert collector.records == [TraceRecord(*row) for row in rows]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -69,17 +85,14 @@ def test_random_streams_round_trip_identically(seed):
     capacity = rng.randrange(1, 48)
     n = rng.randrange(0, capacity * 5)
     rows = [_random_row(rng) for _ in range(n)]
-    fast, classic, fbuf, tbuf = _paired_collectors(rows, capacity)
-    # Pre-drain statistics agree (perf.json depends on these).
-    assert fbuf.records_seen == tbuf.records_seen == n
-    assert fbuf.rotations == tbuf.rotations
-    assert fbuf.active_fill == tbuf.active_fill
-    fbuf.drain()
-    tbuf.drain()
-    assert len(fast) == len(classic) == n
-    assert pack_collector(fast) == pack_collector(classic)
-    # Materialisation yields the very same dataclasses.
-    assert fast.records == classic.records
+    collector, buf = _staged(rows, capacity)
+    # Pre-drain statistics (perf.json depends on these).
+    assert buf.records_seen == n
+    assert buf.rotations == n // capacity
+    assert buf.active_fill == n % capacity
+    buf.drain()
+    assert len(collector) == n
+    _assert_matches_reference(collector, rows)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -87,12 +100,11 @@ def test_archive_round_trip_through_store(seed, tmp_path):
     """fastbuf -> v3 store encoder -> iter_trace_records == dataclasses."""
     rng = random.Random(100 + seed)
     rows = [_random_row(rng) for _ in range(rng.randrange(1, 400))]
-    fast, classic, fbuf, tbuf = _paired_collectors(rows, capacity=64)
-    fbuf.drain()
-    tbuf.drain()
-    (fast_path,) = save_study([fast], tmp_path / "fast")
-    (classic_path,) = save_study([classic], tmp_path / "classic")
-    assert fast_path.read_bytes() == classic_path.read_bytes()
+    collector, buf = _staged(rows, capacity=64)
+    buf.drain()
+    (fast_path,) = save_study([collector], tmp_path / "fast")
+    (reference_path,) = save_study([_reference(rows)], tmp_path / "ref")
+    assert fast_path.read_bytes() == reference_path.read_bytes()
     decoded = list(iter_trace_records(fast_path))
     assert decoded == [TraceRecord(*row) for row in rows]
 
@@ -101,15 +113,17 @@ def test_archive_round_trip_through_store(seed, tmp_path):
                                BUFFER_CAPACITY + 1, 2 * BUFFER_CAPACITY,
                                2 * BUFFER_CAPACITY + 1))
 def test_flush_boundaries_at_default_capacity(n):
-    """Around the 3,000-record block boundary the paths stay in lockstep."""
+    """Around the 3,000-record block boundary flushes land exactly."""
     rng = random.Random(n)
     rows = [_random_row(rng) for _ in range(n)]
-    fast, classic, fbuf, tbuf = _paired_collectors(rows, BUFFER_CAPACITY)
-    assert fbuf.rotations == tbuf.rotations == n // BUFFER_CAPACITY
-    assert fbuf.active_fill == tbuf.active_fill == n % BUFFER_CAPACITY
-    fbuf.drain()
-    tbuf.drain()
-    assert pack_collector(fast) == pack_collector(classic)
+    collector, buf = _staged(rows, BUFFER_CAPACITY)
+    assert buf.rotations == n // BUFFER_CAPACITY
+    assert buf.active_fill == n % BUFFER_CAPACITY
+    _records, blocks = collector.record_chunks()
+    assert [len(b) // RECORD_FIELDS for b in blocks] == \
+        [BUFFER_CAPACITY] * (n // BUFFER_CAPACITY)
+    buf.drain()
+    _assert_matches_reference(collector, rows)
 
 
 def test_empty_buffer_edges():

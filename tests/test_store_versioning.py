@@ -34,7 +34,7 @@ def _collector(n_records: int = 5) -> TraceCollector:
     collector.receive_name(NameRecord(
         fo_id=1, path="\\docs\\report.doc", volume_label="m00-C",
         volume_is_remote=False, pid=8, t=0))
-    collector.receive([
+    collector.records.extend([
         TraceRecord(kind=3, fo_id=1, pid=8, t_start=i * 100,
                     t_end=i * 100 + 50, status=0, irp_flags=0,
                     offset=i * 4096, length=4096, returned=4096,

@@ -2,8 +2,8 @@
 
 Covers the campaign determinism contract (serial ≡ parallel, run-to-run
 byte-identical artifacts), the ``nt-study-1`` artifact round-trip through
-``repro report``, the ``BENCH_study`` baseline format, and the
-tracemalloc memory gate.
+``repro report``, the ``BENCH_study`` baseline format, the tracemalloc
+memory gate, and boundary validation of the configuration values.
 """
 
 from __future__ import annotations
@@ -12,8 +12,10 @@ import json
 
 import pytest
 
-from repro import StudyConfig
+from repro import ReplayConfig, StudyConfig
 from repro.cli import main as cli_main
+from repro.common.config import ConfigError
+from repro.nt.system import MachineConfig
 from repro.workload.campaign import (
     CampaignConsole,
     bench_payload,
@@ -166,3 +168,52 @@ class TestStudyCli:
         written = {p.name for p in sorted((tmp_path / "figs").glob("*.csv"))}
         assert "fig13_latency.csv" in written
         assert "fig14_request_size.csv" in written
+
+
+BAD_CONFIG_ARGS = [
+    ("study", "--seconds", "-5"),
+    ("study", "--seconds", "nan"),
+    ("study", "--weeks", "0"),
+    ("study", "--machines", "0"),
+    ("study", "--scale", "0"),
+    ("study", "--scale", "1.5"),
+    ("run", "--machines", "0"),
+    ("profile", "--seconds", "0"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_CONFIG_ARGS, ids=" ".join)
+def test_bad_config_values_fail_with_one_line_exit_two(argv, tmp_path,
+                                                        capsys):
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if argv[0] != "profile" else []
+    assert cli_main([*argv, *extra]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"repro {argv[0]}: ")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+BAD_CONFIG_VALUES = [
+    (StudyConfig, {"duration_seconds": -5.0}),
+    (StudyConfig, {"n_machines": 0}),
+    (StudyConfig, {"content_scale": 0.0}),
+    (StudyConfig, {"drain_seconds": -1.0}),
+    (StudyConfig, {"snapshot_interval_seconds": 0.0}),
+    (MachineConfig, {"name": "m", "cpu_mhz": 0}),
+    (MachineConfig, {"name": "m", "fastio_decline_probability": 1.5}),
+    (MachineConfig, {"name": "m", "metrics_interval_seconds": -1.0}),
+    (ReplayConfig, {"mode": "sideways"}),
+    (ReplayConfig, {"drain_seconds": float("nan")}),
+    (ReplayConfig, {"cache_mb": 0.0}),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs", BAD_CONFIG_VALUES,
+    ids=[f"{cls.__name__}-{list(kw)[-1]}" for cls, kw in BAD_CONFIG_VALUES])
+def test_config_dataclasses_reject_bad_values(cls, kwargs):
+    with pytest.raises(ConfigError) as info:
+        cls(**kwargs)
+    assert isinstance(info.value, ValueError)

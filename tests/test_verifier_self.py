@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.verifier import load_baseline, verify_paths
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -20,21 +22,25 @@ SRC_TREE = REPO_ROOT / "src" / "repro"
 BASELINE = REPO_ROOT / "verifier_baseline.toml"
 
 
-def test_source_tree_is_clean_against_baseline():
-    suppressions = load_baseline(BASELINE)
-    report = verify_paths([SRC_TREE], suppressions, root=REPO_ROOT)
+@pytest.fixture(scope="module")
+def src_report():
+    """One full verify of ``src/repro`` against the committed baseline."""
+    return verify_paths([SRC_TREE], load_baseline(BASELINE), root=REPO_ROOT)
+
+
+def test_source_tree_is_clean_against_baseline(src_report):
+    report = src_report
     assert report.clean, "\n".join(f.format() for f in report.findings) or (
         "stale suppressions: %r" % (report.stale,))
     assert report.n_files > 50
 
 
-def test_full_rule_set_runs_and_sanctions_flow_sinks():
+def test_full_rule_set_runs_and_sanctions_flow_sinks(src_report):
     # The interprocedural families must actually fire on the tree (the
     # sanctioned telemetry reads) and be quieted only by justified
     # baseline entries — a wiring regression that silently dropped
     # F601 would otherwise look identical to a clean tree.
-    suppressions = load_baseline(BASELINE)
-    report = verify_paths([SRC_TREE], suppressions, root=REPO_ROOT)
+    report = src_report
     assert report.clean
     f601 = [f for f in report.suppressed if f.rule == "F601"]
     assert len(f601) >= 4, [f.format() for f in report.suppressed]
@@ -52,12 +58,12 @@ def test_tests_and_benchmarks_verify_clean_too():
     assert report.clean, "\n".join(f.format() for f in report.findings)
 
 
-def test_every_suppression_is_justified_and_live():
+def test_every_suppression_is_justified_and_live(src_report):
     suppressions = load_baseline(BASELINE)
     assert suppressions, "baseline should document the known exceptions"
     for sup in suppressions:
         assert len(sup.justification) > 20, sup
-    report = verify_paths([SRC_TREE], suppressions, root=REPO_ROOT)
+    report = src_report
     assert not report.stale, [s.path for s in report.stale]
 
 
