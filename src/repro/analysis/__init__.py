@@ -81,9 +81,9 @@ from repro.analysis.openmetrics import (
 )
 from repro.analysis.streaming import (
     Digest,
-    MachineFold,
     StatsSketch,
     fold_collector,
+    fold_frame,
     fold_store_file,
     format_streaming_report,
     reconcile_sketch,
@@ -149,9 +149,9 @@ __all__ = [
     "validate_openmetrics",
     "write_openmetrics",
     "Digest",
-    "MachineFold",
     "StatsSketch",
     "fold_collector",
+    "fold_frame",
     "fold_store_file",
     "format_streaming_report",
     "reconcile_sketch",

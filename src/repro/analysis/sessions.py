@@ -15,7 +15,7 @@ kept.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -55,6 +55,20 @@ _CONTROL_KINDS = frozenset(int(k) for k in (
     TraceEventKind.FASTIO_UNLOCK_ALL,
     TraceEventKind.FASTIO_UNLOCK_ALL_BY_KEY,
 ))
+
+_CREATE = int(TraceEventKind.IRP_CREATE)
+_CLEANUP = int(TraceEventKind.IRP_CLEANUP)
+_CLOSE = int(TraceEventKind.IRP_CLOSE)
+_FLUSH = int(TraceEventKind.IRP_FLUSH_BUFFERS)
+_SET_INFORMATION = int(TraceEventKind.IRP_SET_INFORMATION)
+_READ_KINDS = frozenset((int(TraceEventKind.IRP_READ),
+                         int(TraceEventKind.FASTIO_READ)))
+_FASTIO_DATA_KINDS = frozenset((int(TraceEventKind.FASTIO_READ),
+                                int(TraceEventKind.FASTIO_WRITE)))
+_DATA_KINDS = _READ_KINDS | _FASTIO_DATA_KINDS | {
+    int(TraceEventKind.IRP_WRITE)}
+_DISPOSITION = int(SetInformationClass.DISPOSITION)
+_END_OF_FILE = int(SetInformationClass.END_OF_FILE)
 
 
 @dataclass
@@ -224,69 +238,86 @@ class Instance:
         return runs
 
 
-def build_instances(wh: "TraceWarehouse") -> list[Instance]:
-    """Group trace records by file object into instances."""
-    order = np.lexsort((wh.t_start, wh.fo_id))
+# build_instance's event tuple order, as columns of an (n, 15) record
+# frame (TraceRecord field order: kind 0, fo_id 1, pid 2, t_start 3,
+# t_end 4, status 5, irp_flags 6, offset 7, length 8, returned 9,
+# file_size 10, disposition 11, options 12, attributes 13, info 14).
+_EVENT_COLUMNS = (0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 2)
+
+
+def frame_instances(frame: np.ndarray, machine_of: Callable[[int], int],
+                    file_info: Callable[[int], Optional[tuple]],
+                    process_lookup) -> list[Instance]:
+    """Build the instances of a record frame, in ascending ``fo_id`` order.
+
+    The one segment walker behind both fact-table paths: the warehouse
+    (:func:`build_instances`) and the streaming fold
+    (:func:`repro.analysis.streaming.fold_frame`).  A stable
+    ``lexsort((t_start, fo_id))`` groups the rows by file object with
+    ties in record (append) order; the reordered event columns are
+    converted to Python ints once and each file object's slice goes to
+    :func:`build_instance`.  ``machine_of(row)`` gives the machine index
+    of a frame row, ``file_info(fo_id)`` the ``(path, extension,
+    volume_label, is_remote)`` tuple or None.
+    """
+    if not len(frame):
+        return []
+    fo_ids = frame[:, 1]
+    order = np.lexsort((frame[:, 3], fo_ids))
+    events = frame[np.ix_(order, _EVENT_COLUMNS)].tolist()
+    sorted_ids = fo_ids[order]
+    starts = [0, *(np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1])
+                   + 1).tolist()]
     instances: list[Instance] = []
-    i = 0
-    n = wh.n_records
-    fo_ids = wh.fo_id
-    while i < n:
-        j = i
-        gid = fo_ids[order[i]]
-        while j < n and fo_ids[order[j]] == gid:
-            j += 1
-        rows = order[i:j]
-        i = j
-        inst = _build_one(wh, int(gid), rows)
+    for start, end, fo_id, first in zip(
+            starts, starts[1:] + [len(events)],
+            sorted_ids[starts].tolist(), order[starts].tolist()):
+        inst = build_instance(machine_of(first), fo_id, events[start:end],
+                              file_info(fo_id), process_lookup)
         if inst is not None:
             instances.append(inst)
-    instances.sort(key=lambda s: (s.machine_idx, s.open_t))
     return instances
 
 
-def _build_one(wh: "TraceWarehouse", gid: int,
-               rows: np.ndarray) -> Optional[Instance]:
-    events = list(zip(
-        wh.kind[rows].tolist(), wh.t_start[rows].tolist(),
-        wh.t_end[rows].tolist(), wh.status[rows].tolist(),
-        wh.irp_flags[rows].tolist(), wh.offset[rows].tolist(),
-        wh.length[rows].tolist(), wh.returned[rows].tolist(),
-        wh.file_size[rows].tolist(), wh.disposition[rows].tolist(),
-        wh.options[rows].tolist(), wh.attributes[rows].tolist(),
-        wh.info[rows].tolist(), wh.pid[rows].tolist()))
-    fdim = wh.file_for(gid)
-    file_info = ((fdim.path, fdim.extension, fdim.volume_label,
-                  fdim.is_remote) if fdim is not None else None)
+def build_instances(wh: "TraceWarehouse") -> list[Instance]:
+    """Group trace records by file object into instances."""
+    def file_info(gid: int):
+        fdim = wh.file_for(gid)
+        return ((fdim.path, fdim.extension, fdim.volume_label,
+                 fdim.is_remote) if fdim is not None else None)
 
     def process_lookup(pid: int):
         proc = wh.process_for(pid)
         return (proc.name, proc.interactive) if proc is not None else None
 
-    return build_instance(int(wh.machine_idx[rows[0]]), gid, events,
-                          file_info, process_lookup)
+    machine_idx = wh.machine_idx
+    instances = frame_instances(wh.record_frame(),
+                                lambda row: int(machine_idx[row]),
+                                file_info, process_lookup)
+    instances.sort(key=lambda s: (s.machine_idx, s.open_t))
+    return instances
 
 
 def build_instance(machine_idx: int, fo_id: int, events,
                    file_info, process_lookup) -> Optional[Instance]:
-    """Build one instance from time-ordered plain event tuples.
+    """Build one instance from time-ordered plain event rows.
 
     This is the single source of truth for instance semantics: the
-    columnar path (:func:`build_instances`, over warehouse rows) and the
-    streaming fold (:mod:`repro.analysis.streaming`, over store-file
-    records) both call it — which is what makes the streaming sketch
+    warehouse (:func:`build_instances`) and the streaming fold
+    (:mod:`repro.analysis.streaming`) both reach it through
+    :func:`frame_instances` — which is what makes the streaming sketch
     reconcile *exactly* against the materialized warehouse.
 
     ``events`` are ``(kind, t_start, t_end, status, irp_flags, offset,
     length, returned, file_size, disposition, options, attributes, info,
-    pid)`` tuples, sorted by ``t_start`` with a *stable* sort (ties keep
-    collector append order).  ``file_info`` is ``(path, extension,
+    pid)`` rows of ints, sorted by ``t_start`` with a *stable* sort (ties
+    keep collector append order).  ``file_info`` is ``(path, extension,
     volume_label, is_remote)`` or None; ``process_lookup(pid)`` returns
     ``(name, interactive)`` or None.
     """
     create = None
     for ev in events:
-        if ev[0] == int(TraceEventKind.IRP_CREATE):
+        if ev[0] == _CREATE:
             create = ev
             break
     if create is None:
@@ -320,21 +351,16 @@ def build_instance(machine_idx: int, fo_id: int, events,
     for (k, t, t_end, status, irp_flags, offset, length, returned,
          file_size, _disposition, _options, _attributes, info,
          _pid) in events:
-        if k == int(TraceEventKind.IRP_CREATE):
+        if k == _CREATE:
             continue
         inst.file_size_max = max(inst.file_size_max, file_size)
-        if k == int(TraceEventKind.IRP_CLEANUP):
+        if k == _CLEANUP:
             inst.cleanup_t = t
-        elif k == int(TraceEventKind.IRP_CLOSE):
+        elif k == _CLOSE:
             inst.close_t = t
-        elif k in (int(TraceEventKind.IRP_READ),
-                   int(TraceEventKind.FASTIO_READ),
-                   int(TraceEventKind.IRP_WRITE),
-                   int(TraceEventKind.FASTIO_WRITE)):
-            is_read = k in (int(TraceEventKind.IRP_READ),
-                            int(TraceEventKind.FASTIO_READ))
-            is_fastio = k in (int(TraceEventKind.FASTIO_READ),
-                              int(TraceEventKind.FASTIO_WRITE))
+        elif k in _DATA_KINDS:
+            is_read = k in _READ_KINDS
+            is_fastio = k in _FASTIO_DATA_KINDS
             is_paging = bool(irp_flags & 0x42)
             if not is_paging:
                 has_direct_data = True
@@ -343,14 +369,14 @@ def build_instance(machine_idx: int, fo_id: int, events,
                 returned=returned, is_fastio=is_fastio,
                 duration=t_end - t,
                 is_paging=is_paging))
-        elif k == int(TraceEventKind.IRP_FLUSH_BUFFERS):
+        elif k == _FLUSH:
             inst.n_flushes += 1
-        elif k == int(TraceEventKind.IRP_SET_INFORMATION):
+        elif k == _SET_INFORMATION:
             inst.n_control_ops += 1
-            if info == int(SetInformationClass.DISPOSITION) \
+            if info == _DISPOSITION \
                     and length == 1 and status < 0xC0000000:
                 inst.explicit_delete_t = t
-            elif info == int(SetInformationClass.END_OF_FILE):
+            elif info == _END_OF_FILE:
                 inst.truncated_to = length
         elif k in _CONTROL_KINDS:
             inst.n_control_ops += 1

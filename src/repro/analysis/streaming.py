@@ -7,13 +7,16 @@ streaming counterpart of the materialized :class:`TraceWarehouse`: a
 aggregates (counts, byte sums, min/max, the exact log₂ latency
 histograms from :mod:`repro.nt.perf`, and a deterministic mergeable
 quantile digest for the figure 13/14 bands) produced by one-pass folds
-over :class:`~repro.nt.tracing.store.StoreStream` /
-:func:`~repro.nt.tracing.store.iter_trace_records`.
+(:func:`fold_frame`) over each machine's ``(n, 15)`` int64 record frame —
+from a live collector or drained from a
+:class:`~repro.nt.tracing.store.StoreStream` — with numpy integer
+arithmetic for the record-level statistics.
 
 Three properties carry the design:
 
-* **Bounded memory.**  A fold holds one machine's per-file-object event
-  buffers at a time; after :meth:`MachineFold.finish` only the sketch's
+* **Bounded memory.**  A fold holds one machine's record section at a
+  time (120 bytes per record, plus that machine's instances while they
+  are folded); after :func:`fold_frame` returns only the sketch's
   fixed-size digests and one small integer row per machine remain.  Peak
   memory is flat in machine count.
 * **Order-independent, byte-identical merges.**  Every fleet-level
@@ -46,6 +49,7 @@ from repro.common.clock import (
 )
 from repro.nt.perf import (
     BUCKET_EDGES_MICROS,
+    BUCKET_EDGES_TICKS,
     LatencyHistogram,
     N_BUCKETS,
 )
@@ -107,6 +111,22 @@ def digest_bucket(value: int) -> int:
     return ((octave - _SUB_BITS) << _SUB_BITS) + sub + _SUB
 
 
+# 2**0 .. 2**62: searchsorted(_POW2, v, "right") == v.bit_length(), v >= 0.
+_POW2 = np.left_shift(1, np.arange(63, dtype=np.int64))
+
+
+def digest_buckets(values: np.ndarray) -> np.ndarray:
+    """:func:`digest_bucket` over an int64 array, with the same integer
+    arithmetic (``bit_length`` via a search over the powers of two)."""
+    values = np.asarray(values, dtype=np.int64)
+    # Clamping the octave to _SUB_BITS makes the comb formula return the
+    # value itself below _SUB (negatives included), as the scalar does.
+    octave = np.maximum(
+        np.searchsorted(_POW2, values, side="right") - 1, _SUB_BITS)
+    sub = (values - np.left_shift(1, octave)) >> (octave - _SUB_BITS)
+    return ((octave - _SUB_BITS) << _SUB_BITS) + sub + _SUB
+
+
 def digest_bucket_upper(index: int) -> int:
     """The largest value mapping to bucket ``index`` (the inverse comb)."""
     if index < _SUB:
@@ -147,6 +167,21 @@ class Digest:
             self.vmin = value
         if value > self.vmax:
             self.vmax = value
+
+    def add_array(self, values: np.ndarray) -> None:
+        """:meth:`add` with weight 1 for every value of an int64 array."""
+        if not len(values):
+            return
+        values = np.maximum(values, 0)
+        idx, counts = np.unique(digest_buckets(values), return_counts=True)
+        for i, w in zip(idx.tolist(), counts.tolist()):
+            self.buckets[i] = self.buckets.get(i, 0) + w
+        self.n += len(values)
+        self.weight += len(values)
+        lo = int(values.min())
+        if self.vmin < 0 or lo < self.vmin:
+            self.vmin = lo
+        self.vmax = max(self.vmax, int(values.max()))
 
     def merge(self, other: "Digest") -> None:
         for idx, w in other.buckets.items():
@@ -238,6 +273,30 @@ def _hist_from_dict(name: str, doc: dict) -> LatencyHistogram:
     return h
 
 
+_BUCKET_EDGES = np.asarray(BUCKET_EDGES_TICKS, dtype=np.int64)
+
+
+def _exact_sum(values: np.ndarray) -> int:
+    """Sum of an int64 array as a Python int, without int64 wrap-around
+    (exact below 2**31 values): the high and low 32-bit halves are summed
+    separately."""
+    return ((int((values >> 32).sum()) << 32)
+            + int((values & 0xFFFFFFFF).sum()))
+
+
+def _hist_observe(h: LatencyHistogram, ticks: np.ndarray) -> None:
+    """``h.observe(t)`` for every ``t`` of an int64 array: searchsorted
+    ``side="left"`` is ``observe``'s ``bisect_left``."""
+    buckets = np.bincount(
+        np.searchsorted(_BUCKET_EDGES, ticks, side="left"),
+        minlength=N_BUCKETS + 1)
+    h.bucket_counts = [a + b for a, b in zip(h.bucket_counts,
+                                             buckets.tolist())]
+    h.count += len(ticks)
+    h.sum_ticks += _exact_sum(ticks)
+    h.max_ticks = max(h.max_ticks, int(ticks.max()))
+
+
 def _hist_merge(a: LatencyHistogram, b: LatencyHistogram) -> None:
     a.count += b.count
     a.sum_ticks += b.sum_ticks
@@ -305,25 +364,44 @@ class StatsSketch:
 
     # -- folding ------------------------------------------------------- #
 
-    def _update_record(self, kind: int, t_start: int, t_end: int,
-                       length: int, returned: int) -> None:
-        self.n_records += 1
-        self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
-        if self.t_min < 0 or t_start < self.t_min:
-            self.t_min = t_start
-        if t_end > self.t_max:
-            self.t_max = t_end
-        rtype = _KIND_TO_RTYPE.get(kind)
-        if rtype is not None:
-            self.latency[rtype].observe(t_end - t_start)
-            self.req_size[rtype].add(length)
-            if kind in _READ_KINDS:
+    def _update_frame(self, frame: np.ndarray) -> None:
+        """Fold the record-level statistics of an ``(n, 15)`` record frame.
+
+        Integer numpy arithmetic only; the result equals updating record
+        by record in frame order (for the trace clock's non-negative
+        ``t_start``).
+        """
+        if not len(frame):
+            return
+        kind = frame[:, 0]
+        t_start = frame[:, 3]
+        t_end = frame[:, 4]
+        self.n_records += len(frame)
+        # np.unique rather than bincount: the kind column comes from
+        # archives, and bincount would size its output by the largest kind.
+        kinds, counts = np.unique(kind, return_counts=True)
+        for k, n in zip(kinds.tolist(), counts.tolist()):
+            self.kind_counts[k] = self.kind_counts.get(k, 0) + n
+        first = int(t_start.min())
+        if self.t_min < 0 or first < self.t_min:
+            self.t_min = first
+        self.t_max = max(self.t_max, int(t_end.max()))
+        for k, rtype in _KIND_TO_RTYPE.items():
+            rows = kind == k
+            if not rows.any():
+                continue
+            _hist_observe(self.latency[rtype], t_end[rows] - t_start[rows])
+            self.req_size[rtype].add_array(frame[rows, 8])       # length
+            returned = _exact_sum(frame[rows, 9])
+            if k in _READ_KINDS:
                 self.record_bytes_read += returned
             else:
                 self.record_bytes_written += returned
-        elif kind == _KIND_CREATE:
-            b = t_start // self.burst_bin_ticks
-            self.bursts[b] = self.bursts.get(b, 0) + 1
+        bins, counts = np.unique(
+            t_start[kind == _KIND_CREATE] // self.burst_bin_ticks,
+            return_counts=True)
+        for b, n in zip(bins.tolist(), counts.tolist()):
+            self.bursts[b] = self.bursts.get(b, 0) + n
 
     def _fold_instances(self, machine_idx: int, name: str, category: str,
                         n_records: int,
@@ -602,87 +680,55 @@ class StatsSketch:
 # --------------------------------------------------------------------- #
 # Producers: one-pass folds.
 
-class MachineFold:
-    """One-pass fold of a single machine's trace into a sketch.
+def fold_frame(sketch: StatsSketch, machine_idx: int, name: str,
+               category: str, frame: np.ndarray, name_records,
+               process_names: dict[int, str],
+               process_interactive: dict[int, bool]) -> None:
+    """Fold one machine's record frame and its name/process tables.
 
-    Records arrive in trace order via :meth:`add_record`; per-file-object
-    event tuples are buffered (bounded by one machine's trace), then
-    :meth:`finish` rebuilds the instances with the shared
-    :func:`~repro.analysis.sessions.build_instance`, folds them, and
-    drops the buffers.
+    The record-level statistics come from :meth:`StatsSketch._update_frame`;
+    the instances from the shared segment walker
+    :func:`~repro.analysis.sessions.frame_instances`, folded in
+    (open_t, fo_id) order.
     """
+    from repro.analysis.sessions import frame_instances
 
-    def __init__(self, sketch: StatsSketch, machine_idx: int,
-                 name: str, category: str) -> None:
-        self.sketch = sketch
-        self.machine_idx = machine_idx
-        self.name = name
-        self.category = category
-        self.n_records = 0
-        self._events: dict[int, list[tuple]] = {}
+    sketch._update_frame(frame)
+    # Last name record per file object wins, as in the warehouse.
+    file_info: dict[int, tuple] = {}
+    for nr in name_records:
+        file_info[nr.fo_id] = (nr.path, extension_of(nr.path),
+                               nr.volume_label, nr.volume_is_remote)
 
-    def add_record(self, r) -> None:
-        self.n_records += 1
-        self.sketch._update_record(r.kind, r.t_start, r.t_end,
-                                   r.length, r.returned)
-        self._events.setdefault(r.fo_id, []).append(
-            (r.kind, r.t_start, r.t_end, r.status, r.irp_flags, r.offset,
-             r.length, r.returned, r.file_size, r.disposition, r.options,
-             r.attributes, r.info, r.pid))
+    def process_lookup(pid: int):
+        pname = process_names.get(pid)
+        if pname is None:
+            return None
+        return (pname, process_interactive.get(pid, False))
 
-    def finish(self, name_records, process_names,
-               process_interactive) -> None:
-        from repro.analysis.sessions import build_instance
-
-        # Last name record per file object wins, as in the warehouse.
-        file_info: dict[int, tuple] = {}
-        for nr in name_records:
-            file_info[nr.fo_id] = (nr.path, extension_of(nr.path),
-                                   nr.volume_label, nr.volume_is_remote)
-
-        def process_lookup(pid: int):
-            pname = process_names.get(pid)
-            if pname is None:
-                return None
-            return (pname, process_interactive.get(pid, False))
-
-        instances: list["Instance"] = []
-        for fo_id, events in self._events.items():
-            # Stable sort by t_start: ties keep collector append order,
-            # exactly like the warehouse's lexsort.
-            events.sort(key=lambda e: e[1])
-            inst = build_instance(self.machine_idx, fo_id, events,
-                                  file_info.get(fo_id), process_lookup)
-            if inst is not None:
-                instances.append(inst)
-        instances.sort(key=lambda s: (s.open_t, s.fo_id))
-        self._events = {}
-        self.sketch._fold_instances(self.machine_idx, self.name,
-                                    self.category, self.n_records,
-                                    instances)
+    instances = frame_instances(frame, lambda _row: machine_idx,
+                                file_info.get, process_lookup)
+    instances.sort(key=lambda s: (s.open_t, s.fo_id))
+    sketch._fold_instances(machine_idx, name, category, len(frame),
+                           instances)
 
 
 def fold_collector(sketch: StatsSketch, machine_idx: int, category: str,
                    collector: "TraceCollector") -> None:
     """Fold one in-memory collector into the sketch (streaming campaign
     path: the collector is discarded right after)."""
-    fold = MachineFold(sketch, machine_idx, collector.machine_name,
-                       category)
-    for r in collector.records:
-        fold.add_record(r)
-    fold.finish(collector.name_records, collector.process_names,
-                collector.process_interactive)
+    fold_frame(sketch, machine_idx, collector.machine_name, category,
+               collector.record_frame(), collector.name_records,
+               collector.process_names, collector.process_interactive)
 
 
 def fold_store_file(sketch: StatsSketch, machine_idx: int, category: str,
                     path: Union[str, "Path"]) -> None:
-    """Fold one archived ``.nttrace`` file, never materialising it."""
+    """Fold one archived ``.nttrace`` file, never building its collector."""
     stream = StoreStream(path)
-    fold = MachineFold(sketch, machine_idx, stream.machine_name, category)
-    for r in stream.records():
-        fold.add_record(r)
-    names, process_names, process_interactive = stream.tail_sections()
-    fold.finish(names, process_names, process_interactive)
+    frame = stream.record_frame()
+    fold_frame(sketch, machine_idx, stream.machine_name, category, frame,
+               *stream.tail_sections())
 
 
 def sketch_from_study(result: "StudyResult",
@@ -724,10 +770,7 @@ def sketch_from_warehouse(wh: "TraceWarehouse",
     per_machine_records = np.bincount(
         wh.machine_idx, minlength=n_machines) if wh.n_records \
         else np.zeros(n_machines, dtype=np.int64)
-    for kind, t_start, t_end, length, returned in zip(
-            wh.kind.tolist(), wh.t_start.tolist(), wh.t_end.tolist(),
-            wh.length.tolist(), wh.returned.tolist()):
-        sketch._update_record(kind, t_start, t_end, length, returned)
+    sketch._update_frame(wh.record_frame())
     # Instance-level stats: wh.instances is sorted by (machine, open_t),
     # so per-machine groups preserve the order the streaming fold uses.
     groups: dict[int, list] = {idx: [] for idx in range(n_machines)}

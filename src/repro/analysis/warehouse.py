@@ -4,7 +4,8 @@ The paper loaded ~190 million records into a de-normalised star schema
 with *two* fact tables — one for raw trace records, one for file-object
 instances — because the instance table collapses per-session summaries
 that would otherwise be recomputed on every query.  This module is the
-same design in numpy: the trace table is a set of parallel arrays; the
+same design in numpy: the trace table is a set of parallel arrays, filled
+by slicing each collector's record frame (no per-record Python); the
 instance table is built once by :mod:`repro.analysis.sessions` and cached.
 """
 
@@ -26,8 +27,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _MACHINE_STRIDE = 10 ** 9
 
 
-def pack_id(machine_idx: int, local_id: int) -> int:
-    """Machine-unique id -> study-unique id."""
+def pack_id(machine_idx, local_id):
+    """Machine-unique id -> study-unique id (ints or int64 arrays)."""
     return machine_idx * _MACHINE_STRIDE + local_id
 
 
@@ -66,30 +67,21 @@ class TraceWarehouse:
         self.machine_names = [c.machine_name for c in collectors]
         self.machine_categories = machine_categories or {}
         self._collectors = list(collectors)
-        n = sum(len(c.records) for c in collectors)
-        cols = {name: np.zeros(n, dtype=np.int64) for name in self.COLUMNS}
+        n = sum(len(c) for c in collectors)
+        # One row per column (COLUMNS order; rows 1.. are the record
+        # frame's fields), so every column is a contiguous view.
+        table = np.empty((len(self.COLUMNS), n), dtype=np.int64)
         self.files: dict[int, FileDimension] = {}
         self.processes: dict[int, ProcessDimension] = {}
         row = 0
         for midx, collector in enumerate(collectors):
-            for r in collector.records:
-                cols["machine_idx"][row] = midx
-                cols["kind"][row] = r.kind
-                cols["fo_id"][row] = pack_id(midx, r.fo_id)
-                cols["pid"][row] = pack_id(midx, r.pid)
-                cols["t_start"][row] = r.t_start
-                cols["t_end"][row] = r.t_end
-                cols["status"][row] = r.status
-                cols["irp_flags"][row] = r.irp_flags
-                cols["offset"][row] = r.offset
-                cols["length"][row] = r.length
-                cols["returned"][row] = r.returned
-                cols["file_size"][row] = r.file_size
-                cols["disposition"][row] = r.disposition
-                cols["options"][row] = r.options
-                cols["attributes"][row] = r.attributes
-                cols["info"][row] = r.info
-                row += 1
+            frame = collector.record_frame()
+            rows = slice(row, row + len(frame))
+            row = rows.stop
+            table[0, rows] = midx
+            table[1:, rows] = frame.T
+            table[2, rows] = pack_id(midx, frame[:, 1])     # fo_id
+            table[3, rows] = pack_id(midx, frame[:, 2])     # pid
             for nr in collector.name_records:
                 gid = pack_id(midx, nr.fo_id)
                 self.files[gid] = FileDimension(
@@ -105,10 +97,17 @@ class TraceWarehouse:
                     pid=gid, name=pname,
                     interactive=collector.process_interactive.get(pid, False),
                     machine_idx=midx)
-        for name, arr in cols.items():
-            setattr(self, name, arr)
+        self._table = table
+        for name, column in zip(self.COLUMNS, table):
+            setattr(self, name, column)
         self.n_records = n
         self._instances: Optional[list["Instance"]] = None
+
+    def record_frame(self) -> np.ndarray:
+        """The trace table as an ``(n, 15)`` record frame (a view), with
+        study-unique ``fo_id``/``pid`` (see
+        :meth:`TraceCollector.record_frame` for the column order)."""
+        return self._table[1:].T
 
     # ------------------------------------------------------------------ #
     # Constructors.

@@ -10,7 +10,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.nt.tracing.fastbuf import RECORD_FIELDS, records_from_block
+import numpy as np
+
+from repro.nt.tracing.fastbuf import (
+    RECORD_FIELDS,
+    block_frame,
+    records_from_block,
+)
 from repro.nt.tracing.records import NameRecord, TraceRecord
 from repro.nt.tracing.snapshot import SnapshotRecord
 
@@ -25,9 +31,10 @@ class TraceCollector:
 
     Trace records arrive as columnar ``array('q')`` blocks from the
     filter's record buffer (:mod:`repro.nt.tracing.fastbuf`).  Blocks are
-    kept staged: the store encoder packs them directly, and
-    :attr:`records` materialises them into dataclasses only when analysis
-    asks.
+    kept staged: the store encoder packs them directly, analysis reads
+    them as one numpy record frame (:meth:`record_frame`), and
+    :attr:`records` materialises them into dataclasses only when a caller
+    asks for objects.
     """
 
     def __init__(self, machine_name: str) -> None:
@@ -69,6 +76,26 @@ class TraceCollector:
         allocates per-record dataclasses.
         """
         return self._records, self._blocks
+
+    def record_frame(self) -> np.ndarray:
+        """Every trace record as one ``(n, 15)`` int64 frame, record order.
+
+        Columns are in :class:`TraceRecord` field order.  A collector
+        holding a single staged block (a loaded store file) returns a
+        view of it; otherwise the staged blocks are concatenated.  No
+        dataclass is materialised.
+        """
+        chunks = [block_frame(block) for block in self._blocks]
+        if self._records:
+            chunks.insert(0, np.array(
+                [[getattr(r, f) for f in TraceRecord.__slots__]
+                 for r in self._records],
+                dtype=np.int64).reshape(-1, RECORD_FIELDS))
+        if len(chunks) == 1:
+            return chunks[0]
+        if not chunks:
+            return np.empty((0, RECORD_FIELDS), dtype=np.int64)
+        return np.concatenate(chunks)
 
     def receive_block(self, block: "array") -> None:
         """Accept one flushed columnar record block."""

@@ -14,6 +14,11 @@ analysis asks for dataclass records (lazy materialisation) or the store
 encoder packs them — on a little-endian host a block's ``tobytes()`` is
 byte-for-byte the concatenation of the store's ``<15q`` record structs.
 Elsewhere the encoder falls back to per-row struct packing.
+
+The same bytes are the analysis layout: :func:`block_frame` views a block
+as an ``(n, 15)`` int64 numpy *record frame* (one row per record, columns
+in :class:`TraceRecord` field order) without copying it, and the sketch,
+the instance builder and the warehouse all work from such frames.
 """
 
 from __future__ import annotations
@@ -21,7 +26,10 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
+from itertools import starmap
 from typing import Callable, List
+
+import numpy as np
 
 from repro.nt.tracing.records import TraceRecord
 
@@ -31,6 +39,9 @@ BUFFER_CAPACITY = 3000
 # ``<15q>`` record struct.
 RECORD_FIELDS = 15
 _RECORD = struct.Struct("<15q")
+# One staged row as it sits in an array('q') block: native byte order,
+# 8-byte fields.
+_NATIVE_ROW = struct.Struct("=15q")
 
 # array('q').tobytes() equals the concatenated '<15q' packs only on a
 # little-endian host with 8-byte array items; anywhere else pack_block
@@ -48,10 +59,24 @@ def pack_block(block: array) -> bytes:
     return bytes(out)
 
 
+def unpack_block(raw: bytes) -> array:
+    """Decode packed ``<15q`` record bytes into one staged block (the
+    inverse of :func:`pack_block`)."""
+    block = array("q")
+    block.frombytes(raw)
+    if sys.byteorder != "little":
+        block.byteswap()
+    return block
+
+
+def block_frame(block: array) -> np.ndarray:
+    """View a staged block as an ``(n, 15)`` int64 record frame (no copy)."""
+    return np.frombuffer(block, dtype=np.int64).reshape(-1, RECORD_FIELDS)
+
+
 def records_from_block(block: array) -> List[TraceRecord]:
     """Materialise a staged block into :class:`TraceRecord` dataclasses."""
-    return [TraceRecord(*block[i:i + RECORD_FIELDS])
-            for i in range(0, len(block), RECORD_FIELDS)]
+    return list(starmap(TraceRecord, _NATIVE_ROW.iter_unpack(block)))
 
 
 class FastRecordBuffer:

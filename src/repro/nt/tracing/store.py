@@ -17,8 +17,10 @@ import zlib
 from pathlib import Path
 from typing import BinaryIO, Union
 
+import numpy as np
+
 from repro.nt.tracing.collector import TraceCollector
-from repro.nt.tracing.fastbuf import pack_block
+from repro.nt.tracing.fastbuf import block_frame, pack_block, unpack_block
 from repro.nt.tracing.records import NameRecord, TraceRecord
 from repro.nt.tracing.snapshot import SnapshotRecord
 from repro.nt.tracing.spans import SPAN_STRUCT, SpanRecord
@@ -46,9 +48,39 @@ def _write_str(buf: BinaryIO, text: str) -> None:
     buf.write(raw)
 
 
-def _read_str(buf: BinaryIO) -> str:
+def _read_str(buf) -> str:
     (length,) = struct.unpack("<I", buf.read(4))
     return buf.read(length).decode("utf-8")
+
+
+def _short_read(source, section: str, wanted: int, left: int) -> ValueError:
+    return ValueError(
+        f"{source}: payload ends mid-record in the {section} section "
+        f"(wanted {wanted} bytes, {left} left)")
+
+
+class _PayloadReader:
+    """Bounds-checked forward reads over a decompressed payload.
+
+    A short read raises ``ValueError`` naming the source and the section
+    being decoded (callers set :attr:`section` as they go), never a bare
+    ``struct.error``.
+    """
+
+    def __init__(self, source, raw: bytes) -> None:
+        self._source = source
+        self._buf = io.BytesIO(raw)
+        self._size = len(raw)
+        self.section = "machine name"
+
+    def read(self, n: int) -> bytes:
+        out = self._buf.read(n)
+        if len(out) != n:
+            raise _short_read(self._source, self.section, n, len(out))
+        return out
+
+    def at_end(self) -> bool:
+        return self._buf.tell() >= self._size
 
 
 def pack_collector(collector: TraceCollector) -> bytes:
@@ -112,27 +144,53 @@ def pack_collector(collector: TraceCollector) -> bytes:
     return buf.getvalue()
 
 
-def unpack_collector(raw: bytes) -> TraceCollector:
-    """Rebuild a collector from :func:`pack_collector` bytes."""
-    buf = io.BytesIO(raw)
-    collector = TraceCollector(_read_str(buf))
-    (n_records,) = struct.unpack("<Q", buf.read(8))
-    for _ in range(n_records):
-        fields = _RECORD.unpack(buf.read(_RECORD.size))
-        collector.records.append(TraceRecord(*fields))
-    (n_names,) = struct.unpack("<Q", buf.read(8))
+def _read_names(reader) -> list[NameRecord]:
+    reader.section = "names"
+    (n_names,) = struct.unpack("<Q", reader.read(8))
+    names: list[NameRecord] = []
     for _ in range(n_names):
-        fo_id, pid, is_remote, t = struct.unpack("<qq?q", buf.read(25))
-        path = _read_str(buf)
-        label = _read_str(buf)
-        collector.name_records.append(NameRecord(
+        fo_id, pid, is_remote, t = struct.unpack("<qq?q", reader.read(25))
+        path = _read_str(reader)
+        label = _read_str(reader)
+        names.append(NameRecord(
             fo_id=fo_id, path=path, volume_label=label,
             volume_is_remote=is_remote, pid=pid, t=t))
-    (n_procs,) = struct.unpack("<Q", buf.read(8))
+    return names
+
+
+def _read_processes(reader) -> tuple[dict[int, str], dict[int, bool]]:
+    reader.section = "processes"
+    (n_procs,) = struct.unpack("<Q", reader.read(8))
+    process_names: dict[int, str] = {}
+    process_interactive: dict[int, bool] = {}
     for _ in range(n_procs):
-        pid, interactive = struct.unpack("<q?", buf.read(9))
-        name = _read_str(buf)
-        collector.register_process(pid, name, interactive)
+        pid, interactive = struct.unpack("<q?", reader.read(9))
+        process_names[pid] = _read_str(reader)
+        process_interactive[pid] = interactive
+    return process_names, process_interactive
+
+
+def unpack_collector(raw: bytes,
+                     source: str = "packed collector") -> TraceCollector:
+    """Rebuild a collector from :func:`pack_collector` bytes.
+
+    The record section is read in one piece into a single staged block,
+    so :attr:`TraceCollector.records` stays lazy and
+    :meth:`TraceCollector.record_frame` views it without a copy.  A
+    payload cut short inside any section raises ``ValueError`` naming
+    ``source`` (the store file, for :func:`load_collector`).
+    """
+    buf = _PayloadReader(source, raw)
+    collector = TraceCollector(_read_str(buf))
+    buf.section = "records"
+    (n_records,) = struct.unpack("<Q", buf.read(8))
+    if n_records:
+        collector.receive_block(unpack_block(buf.read(n_records
+                                                      * _RECORD.size)))
+    collector.name_records = _read_names(buf)
+    collector.process_names, collector.process_interactive = \
+        _read_processes(buf)
+    buf.section = "snapshots"
     (n_snaps,) = struct.unpack("<Q", buf.read(8))
     for _ in range(n_snaps):
         label = _read_str(buf)
@@ -151,9 +209,9 @@ def unpack_collector(raw: bytes) -> TraceCollector:
         collector.receive_snapshot(label, when, records)
     # Optional trailing span section: v1/v2 payloads end exactly after the
     # snapshots, so any remaining bytes are the v3 span log.
-    tail = buf.read(8)
-    if tail:
-        (n_spans,) = struct.unpack("<Q", tail)
+    if not buf.at_end():
+        buf.section = "spans"
+        (n_spans,) = struct.unpack("<Q", buf.read(8))
         for _ in range(n_spans):
             collector.span_records.append(
                 SpanRecord(*SPAN_STRUCT.unpack(buf.read(SPAN_STRUCT.size))))
@@ -226,7 +284,7 @@ def load_collector(path: Union[str, Path]) -> TraceCollector:
     """Read a collector written by :func:`save_collector` (any version)."""
     data = Path(path).read_bytes()
     _version, payload = _parse_store(path, data)
-    return unpack_collector(_decompress(path, payload))
+    return unpack_collector(_decompress(path, payload), source=str(path))
 
 
 class _StreamReader:
@@ -240,6 +298,7 @@ class _StreamReader:
         self._pos = 0
         self._decomp = zlib.decompressobj()
         self._buf = bytearray()
+        self.section = "machine name"
 
     def read(self, n: int) -> bytes:
         try:
@@ -253,22 +312,27 @@ class _StreamReader:
             raise ValueError(
                 f"{self._path}: corrupt compressed payload: {exc}") from None
         if len(self._buf) < n:
-            raise ValueError(
-                f"{self._path}: payload ends mid-record "
-                f"(wanted {n} bytes, {len(self._buf)} left)")
-        out = bytes(self._buf[:n])
+            raise _short_read(self._path, self.section, n, len(self._buf))
+        with memoryview(self._buf) as view:
+            out = bytes(view[:n])
         del self._buf[:n]
         return out
 
 
+def _open_stream(path) -> tuple[int, _StreamReader, str, int]:
+    """(version, reader, machine name, record count), the reader left at
+    the first record."""
+    version, payload = _parse_store(path, Path(path).read_bytes())
+    reader = _StreamReader(path, payload)
+    name = _read_str(reader)
+    reader.section = "records"
+    (n_records,) = struct.unpack("<Q", reader.read(8))
+    return version, reader, name, n_records
+
+
 def read_store_header(path: Union[str, Path]) -> tuple[int, str, int]:
     """(format version, machine name, record count) of a store file."""
-    data = Path(path).read_bytes()
-    version, payload = _parse_store(path, data)
-    reader = _StreamReader(path, payload)
-    (name_len,) = struct.unpack("<I", reader.read(4))
-    name = reader.read(name_len).decode("utf-8")
-    (n_records,) = struct.unpack("<Q", reader.read(8))
+    version, _reader, name, n_records = _open_stream(path)
     return version, name, n_records
 
 
@@ -287,12 +351,7 @@ def iter_trace_records(path: Union[str, Path], kinds=None):
     the packed row, before the full 15-field decode — equivalent to
     filtering the unfiltered stream, just cheaper.
     """
-    data = Path(path).read_bytes()
-    _version, payload = _parse_store(path, data)
-    reader = _StreamReader(path, payload)
-    (name_len,) = struct.unpack("<I", reader.read(4))
-    reader.read(name_len)  # machine name, skipped
-    (n_records,) = struct.unpack("<Q", reader.read(8))
+    _version, reader, _name, n_records = _open_stream(path)
     wanted = None if kinds is None else frozenset(int(k) for k in kinds)
     size = _RECORD.size
     for _ in range(n_records):
@@ -312,23 +371,20 @@ class StoreStream:
     materialising the collector.  Usage::
 
         stream = StoreStream(path)
-        for record in stream.records():
-            ...
+        frame = stream.record_frame()   # or iterate stream.records()
         names, process_names, process_interactive = stream.tail_sections()
 
-    ``records()`` must be exhausted before ``tail_sections()``: the
-    payload is decompressed strictly forward, holding one record in
-    memory at a time.
+    The record section must be drained — by :meth:`record_frame` or by
+    exhausting :meth:`records` — before ``tail_sections()``: the payload
+    is decompressed strictly forward.  :meth:`records` holds one record
+    in memory at a time; :meth:`record_frame` holds the whole record
+    section (120 bytes per record).
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        data = self.path.read_bytes()
-        self.version, payload = _parse_store(path, data)
-        self._reader = _StreamReader(path, payload)
-        (name_len,) = struct.unpack("<I", self._reader.read(4))
-        self.machine_name = self._reader.read(name_len).decode("utf-8")
-        (self.n_records,) = struct.unpack("<Q", self._reader.read(8))
+        (self.version, self._reader, self.machine_name,
+         self.n_records) = _open_stream(path)
         self._records_left = self.n_records
 
     def records(self, kinds=None):
@@ -345,32 +401,21 @@ class StoreStream:
                 continue
             yield TraceRecord(*_RECORD.unpack(raw))
 
+    def record_frame(self) -> np.ndarray:
+        """The unread records as one ``(n, 15)`` int64 frame, drained in
+        a single read (see :meth:`TraceCollector.record_frame`)."""
+        raw = self._reader.read(self._records_left * _RECORD.size)
+        self._records_left = 0
+        return block_frame(unpack_block(raw))
+
     def tail_sections(self):
         """(name records, process names, process interactivity) after the
         record section.  Snapshots and spans are left unread."""
         if self._records_left:
             raise ValueError(
-                f"{self.path}: records() must be exhausted before "
+                f"{self.path}: the record section must be drained before "
                 f"tail_sections() ({self._records_left} records unread)")
-        reader = self._reader
-        (n_names,) = struct.unpack("<Q", reader.read(8))
-        names: list[NameRecord] = []
-        for _ in range(n_names):
-            fo_id, pid, is_remote, t = struct.unpack("<qq?q",
-                                                     reader.read(25))
-            path = _read_str(reader)
-            label = _read_str(reader)
-            names.append(NameRecord(
-                fo_id=fo_id, path=path, volume_label=label,
-                volume_is_remote=is_remote, pid=pid, t=t))
-        (n_procs,) = struct.unpack("<Q", reader.read(8))
-        process_names: dict[int, str] = {}
-        process_interactive: dict[int, bool] = {}
-        for _ in range(n_procs):
-            pid, interactive = struct.unpack("<q?", reader.read(9))
-            process_names[pid] = _read_str(reader)
-            process_interactive[pid] = interactive
-        return names, process_names, process_interactive
+        return (_read_names(self._reader), *_read_processes(self._reader))
 
 
 def save_study(collectors, directory: Union[str, Path]) -> list[Path]:

@@ -17,6 +17,7 @@ import pytest
 
 from repro.nt.tracing.collector import TraceCollector
 from repro.nt.tracing.records import NameRecord, TraceRecord
+from repro.nt.tracing.snapshot import SnapshotRecord
 from repro.nt.tracing.spans import SPAN_RECORDED, SpanRecord
 from repro.nt.tracing.store import (STORE_FORMAT_VERSION,
                                     SUPPORTED_FORMAT_VERSIONS,
@@ -176,6 +177,77 @@ class TestCorruption:
                          + payload)
         with pytest.raises(ValueError, match="payload ends mid-record"):
             list(iter_trace_records(path))
+
+
+_SECTIONS = ("records", "names", "processes", "snapshots", "spans")
+
+
+def _section_ranges(collector: TraceCollector) -> dict[str, tuple[int, int]]:
+    """(start, end) payload offsets of each section of ``collector``.
+
+    Found by packing copies that hold one more section each: every
+    section's count word is written even when zero (spans excepted), so
+    a copy's packed length, less the empty sections' count words, is
+    where its last non-empty section ends.
+    """
+    partial = TraceCollector(collector.machine_name)
+    ends = []
+    for section, trailing in zip(_SECTIONS, (24, 16, 8, 0, 0)):
+        if section == "records":
+            partial.records.extend(collector.records)
+        elif section == "names":
+            partial.name_records = list(collector.name_records)
+        elif section == "processes":
+            partial.process_names = dict(collector.process_names)
+            partial.process_interactive = dict(
+                collector.process_interactive)
+        elif section == "snapshots":
+            partial.snapshots = list(collector.snapshots)
+        else:
+            partial.span_records = list(collector.span_records)
+        ends.append(len(pack_collector(partial)) - trailing)
+    assert ends[-1] == len(pack_collector(collector))
+    starts = [4 + len(collector.machine_name.encode())] + ends[:-1]
+    return dict(zip(_SECTIONS, zip(starts, ends)))
+
+
+class TestTruncatedSections:
+    """A zlib payload that is valid but cut short inside any section must
+    fail with a ``ValueError`` naming the file and the section."""
+
+    @staticmethod
+    def _every_section_collector() -> TraceCollector:
+        collector = _spanned_collector()
+        collector.receive_snapshot("m00-C", 7, [SnapshotRecord(
+            is_directory=False, path="\\docs\\report.doc",
+            extension="doc", depth=1, size=65536, creation_time=1,
+            last_write_time=2, last_access_time=3, n_files=0,
+            n_subdirectories=0)])
+        return collector
+
+    @pytest.mark.parametrize("section", _SECTIONS)
+    def test_cut_inside_section_names_file(self, tmp_path, section):
+        collector = self._every_section_collector()
+        start, end = _section_ranges(collector)[section]
+        cut = (start + end) // 2
+        payload = zlib.compress(pack_collector(collector)[:cut], level=6)
+        path = tmp_path / f"cut-in-{section}.nttrace"
+        path.write_bytes(b"NTTRACE3" + struct.pack("<Q", len(payload))
+                         + payload)
+        with pytest.raises(ValueError,
+                           match=f"{section} section") as excinfo:
+            load_collector(path)
+        assert str(path) in str(excinfo.value)
+
+    def test_cut_inside_span_count(self, tmp_path):
+        collector = self._every_section_collector()
+        start, _end = _section_ranges(collector)["spans"]
+        payload = zlib.compress(pack_collector(collector)[:start + 3])
+        path = tmp_path / "cut-in-span-count.nttrace"
+        path.write_bytes(b"NTTRACE3" + struct.pack("<Q", len(payload))
+                         + payload)
+        with pytest.raises(ValueError, match="spans section"):
+            load_collector(path)
 
 
 def _raises_message(path) -> str:
