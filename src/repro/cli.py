@@ -861,7 +861,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     import json
     import time
 
-    from repro import StudyTelemetry
+    from repro import StudyError, StudyTelemetry
     from repro.analysis.fidelity import fidelity_report
     from repro.nt.flight.log import (DEFAULT_METRICS_INTERVAL_SECONDS,
                                      METRICS_FILENAME, write_metrics_log)
@@ -879,7 +879,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     try:
         source_paths = study_paths(args.traces)
         result = replay_archive(args.traces, config, telemetry=telemetry)
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError, StudyError) as exc:
         raise SystemExit(str(exc)) from None
     wall_seconds = time.perf_counter() - begin
     report = fidelity_report(
@@ -917,7 +917,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def cmd_whatif(args: argparse.Namespace) -> int:
     import json
 
-    from repro import StudyTelemetry
+    from repro import StudyError, StudyTelemetry
     from repro.replay import ReplayConfig
     from repro.replay.whatif import parse_grid, whatif_sweep
 
@@ -931,7 +931,7 @@ def cmd_whatif(args: argparse.Namespace) -> int:
     try:
         report = whatif_sweep(args.traces, grid, config,
                               telemetry=telemetry)
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError, StudyError) as exc:
         raise SystemExit(str(exc)) from None
     print(report.format())
     if args.json is not None:

@@ -1,12 +1,25 @@
 """The replay initiator: re-issues archived trace records as live requests.
 
 Where the synthetic applications of :mod:`repro.workload.apps` *generate*
-requests, the initiator *reconstructs* them: each archived
-:class:`~repro.nt.tracing.records.TraceRecord` is inverted back into the
-IRP or FastIO call that produced it and re-driven through the I/O manager
-of a fresh machine, so the trace filter on the replay machine records a
-second-generation trace that the fidelity analysis can diff against the
-source.
+requests, the initiator *reconstructs* them: each archived record is
+inverted back into the IRP or FastIO call that produced it and re-driven
+through the I/O manager of a fresh machine, so the trace filter on the
+replay machine records a second-generation trace that the fidelity
+analysis can diff against the source.
+
+A record arrives as one *row*: a list of 15 ints in
+:class:`~repro.nt.tracing.records.TraceRecord` field order, one row of
+the source collector's record frame
+(:meth:`~repro.nt.tracing.collector.TraceCollector.record_frame`).  The
+inversion is table-driven: :data:`KIND_PLANS`, built once at import from
+:func:`~repro.nt.tracing.records.irp_for_kind` and
+:func:`~repro.nt.tracing.records.fastio_op_for_kind`, maps each kind int
+to ``(kind, kind name, is_fastio, major, minor, fastio op)``, so no enum
+is constructed per record.  The row's flags go into the IRP as the int
+they already are; only the create path builds the create-parameter
+flags.  Callers must range-check the kind column first
+(:func:`check_record_kinds`): a negative kind would index the table
+from the end.
 
 Reconstruction rules (the interesting inversions):
 
@@ -42,28 +55,65 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional, TYPE_CHECKING
 
+import numpy as np
+
 from repro.common.flags import (
     CreateDisposition,
     CreateOptions,
     FileAttributes,
-    IrpFlags,
 )
 from repro.nt.fs.nodes import DirectoryNode, Node
 from repro.nt.fs.path import split_path
 from repro.nt.fs.volume import Volume
 from repro.nt.io.fastio import FastIoOp
 from repro.nt.io.fileobject import FileObject
-from repro.nt.io.irp import Irp, IrpMajor
+from repro.nt.io.irp import Irp, IrpMajor, IrpMinor
 from repro.nt.tracing.collector import TraceCollector
+from repro.nt.tracing.fastbuf import RECORD_FIELDS
 from repro.nt.tracing.records import (
+    N_EVENT_KINDS,
     TraceEventKind,
-    TraceRecord,
     fastio_op_for_kind,
     irp_for_kind,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nt.system import Machine
+
+# Row columns: the record frame's layout, TraceRecord field order.
+(_KIND, _FO_ID, _PID, T_START, _T_END, _STATUS, _FLAGS, _OFFSET, _LENGTH,
+ _RETURNED, _FILE_SIZE, _DISPOSITION, _OPTIONS, _ATTRIBUTES,
+ _INFO) = range(RECORD_FIELDS)
+
+_MOUNT = int(TraceEventKind.IRP_FSCTL_MOUNT_VOLUME)
+_CREATE = int(TraceEventKind.IRP_CREATE)
+
+
+def _plan(kind: TraceEventKind) -> tuple:
+    if kind.is_fastio:
+        return (kind, kind.name, True, None, None, fastio_op_for_kind(kind))
+    major, minor = irp_for_kind(kind)
+    return (kind, kind.name, False, major, minor, None)
+
+
+# Kind int -> (kind, kind name, is_fastio, major, minor, fastio op).
+KIND_PLANS = tuple(_plan(TraceEventKind(k)) for k in range(N_EVENT_KINDS))
+
+
+def check_record_kinds(frame: np.ndarray, where: str) -> None:
+    """Reject a record frame whose kind column leaves the plan table.
+
+    Raises ``ValueError`` naming ``where``, the first bad record's index
+    and its kind value.
+    """
+    kinds = frame[:, _KIND]
+    bad = np.flatnonzero((kinds < 0) | (kinds >= N_EVENT_KINDS))
+    if bad.size:
+        index = int(bad[0])
+        raise ValueError(
+            f"{where}: record {index} has event kind {int(kinds[index])}, "
+            f"outside 0..{N_EVENT_KINDS - 1}")
+
 
 # NT severity convention: success and informational statuses are below
 # 0xC0000000; archived status values are raw ints.
@@ -190,92 +240,91 @@ class ReplayInitiator:
     # ------------------------------------------------------------------ #
     # Entry point.
 
-    def inject(self, rec: TraceRecord) -> None:
-        """Re-issue one archived record against the replay machine."""
+    def inject(self, row: list) -> None:
+        """Re-issue one archived record (a record-frame row)."""
         self.outcome.source_records += 1
-        kind = TraceEventKind(rec.kind)
-        if kind == TraceEventKind.IRP_FSCTL_MOUNT_VOLUME:
-            self._map_mount(rec, kind)
+        k = row[_KIND]
+        _kind, kind_name, is_fastio, major, minor, op = KIND_PLANS[k]
+        if k == _MOUNT:
+            self._map_mount(row, kind_name)
             return
-        if kind == TraceEventKind.IRP_CREATE:
-            self._inject_create(rec, kind)
+        if k == _CREATE:
+            self._inject_create(row, kind_name)
             return
-        fo = self._fo_map.get(rec.fo_id)
+        fo = self._fo_map.get(row[_FO_ID])
         if fo is None:
-            self._skip(kind, "no file object mapping")
+            self._skip(kind_name, "no file object mapping")
             return
-        if kind.is_fastio:
-            self._inject_fastio(rec, kind, fo)
+        if is_fastio:
+            self._inject_fastio(row, kind_name, op, fo)
         else:
-            self._inject_irp(rec, kind, fo)
+            self._inject_irp(row, kind_name, major, minor, fo)
 
     # ------------------------------------------------------------------ #
     # Per-shape injection.
 
-    def _map_mount(self, rec: TraceRecord, kind: TraceEventKind) -> None:
+    def _map_mount(self, row: list, kind_name: str) -> None:
         """Mount records are regenerated by Machine.mount, not injected."""
-        name = self._names.get(rec.fo_id)
+        name = self._names.get(row[_FO_ID])
         volume = self._volumes.get(name.volume_label) if name else None
         if volume is None:
-            self._skip(kind, "unknown volume")
+            self._skip(kind_name, "unknown volume")
             return
-        self._fo_map[rec.fo_id] = self.machine.volume_handle(volume)
-        self.outcome.reconstructed[kind.name] += 1
+        self._fo_map[row[_FO_ID]] = self.machine.volume_handle(volume)
+        self.outcome.reconstructed[kind_name] += 1
 
-    def _inject_create(self, rec: TraceRecord, kind: TraceEventKind) -> None:
-        name = self._names.get(rec.fo_id)
+    def _inject_create(self, row: list, kind_name: str) -> None:
+        name = self._names.get(row[_FO_ID])
         if name is None:
-            self._skip(kind, "no name record")
+            self._skip(kind_name, "no name record")
             return
         volume = self._volumes.get(name.volume_label)
         if volume is None:
-            self._skip(kind, "unknown volume")
+            self._skip(kind_name, "unknown volume")
             return
         machine = self.machine
-        source_ok = rec.status < _STATUS_ERROR_FLOOR
-        if (source_ok and rec.returned != _CREATE_RESULT_CREATED
+        source_ok = row[_STATUS] < _STATUS_ERROR_FLOOR
+        if (source_ok and row[_RETURNED] != _CREATE_RESULT_CREATED
                 and volume.resolve(name.path) is None):
             # The source opened a node this tree lacks: born before the
             # snapshot, or re-opened under a name a (unrecorded) rename
             # produced.  Pre-create it untraced so the open replays.
-            self._precreate(volume, name.path, rec)
-        fo = machine.io.allocate_file_object(name.path, volume, rec.pid)
-        self._fo_map[rec.fo_id] = fo
-        irp = Irp(IrpMajor.CREATE, fo, rec.pid, flags=IrpFlags(rec.irp_flags))
+            self._precreate(volume, name.path, row)
+        fo = machine.io.allocate_file_object(name.path, volume, row[_PID])
+        self._fo_map[row[_FO_ID]] = fo
+        irp = Irp(IrpMajor.CREATE, fo, row[_PID], flags=row[_FLAGS])
         irp.create_path = name.path
-        irp.create_disposition = CreateDisposition(rec.disposition)
-        irp.create_options = CreateOptions(rec.options)
-        irp.create_attributes = FileAttributes(rec.attributes)
+        irp.create_disposition = CreateDisposition(row[_DISPOSITION])
+        irp.create_options = CreateOptions(row[_OPTIONS])
+        irp.create_attributes = FileAttributes(row[_ATTRIBUTES])
         machine.io.send_irp(irp)
-        self._finish(kind, rec, int(irp.status), irp.returned)
+        self._finish(kind_name, row, int(irp.status), irp.returned)
 
-    def _inject_irp(self, rec: TraceRecord, kind: TraceEventKind,
-                    fo: FileObject) -> None:
+    def _inject_irp(self, row: list, kind_name: str, major: IrpMajor,
+                    minor: IrpMinor, fo: FileObject) -> None:
         machine = self.machine
-        major, minor = irp_for_kind(kind)
-        irp = Irp(major, fo, rec.pid, minor=minor,
-                  flags=IrpFlags(rec.irp_flags))
+        irp = Irp(major, fo, row[_PID], minor=minor, flags=row[_FLAGS])
         if major in (IrpMajor.READ, IrpMajor.WRITE, IrpMajor.LOCK_CONTROL):
-            irp.offset = rec.offset
-            irp.length = rec.length
-            self._ensure_node(fo, rec, want_directory=False)
+            irp.offset = row[_OFFSET]
+            irp.length = row[_LENGTH]
+            self._ensure_node(fo, row, want_directory=False)
         elif major == IrpMajor.SET_INFORMATION:
             # The filter records set_size in the length field and the
             # information class in info; invert both.
-            irp.information_class = rec.info
-            irp.set_size = rec.length
-            self._ensure_node(fo, rec, want_directory=False)
+            irp.information_class = row[_INFO]
+            irp.set_size = row[_LENGTH]
+            self._ensure_node(fo, row, want_directory=False)
         elif major == IrpMajor.QUERY_INFORMATION:
-            irp.information_class = rec.info
-            self._ensure_node(fo, rec, want_directory=False)
+            irp.information_class = row[_INFO]
+            self._ensure_node(fo, row, want_directory=False)
         elif major == IrpMajor.DIRECTORY_CONTROL:
-            irp.length = rec.length
-            irp.control_code = rec.info
-            self._ensure_node(fo, rec, want_directory=True)
+            irp.length = row[_LENGTH]
+            irp.control_code = row[_INFO]
+            self._ensure_node(fo, row, want_directory=True)
         elif major == IrpMajor.FILE_SYSTEM_CONTROL:
-            irp.control_code = rec.info
+            irp.control_code = row[_INFO]
         elif major == IrpMajor.FLUSH_BUFFERS:
-            self._ensure_node(fo, rec, want_directory=False)
+            self._ensure_node(fo, row, want_directory=False)
         machine.io.send_irp(irp)
         if major == IrpMajor.CLEANUP:
             # The I/O manager's cleanup() would also drop the handle
@@ -285,48 +334,46 @@ class ReplayInitiator:
             fo.cleanup_done = True
         elif major == IrpMajor.CLOSE:
             fo.closed = True
-        self._finish(kind, rec, int(irp.status), irp.returned)
+        self._finish(kind_name, row, int(irp.status), irp.returned)
 
-    def _inject_fastio(self, rec: TraceRecord, kind: TraceEventKind,
+    def _inject_fastio(self, row: list, kind_name: str, op: FastIoOp,
                        fo: FileObject) -> None:
         machine = self.machine
-        op = fastio_op_for_kind(kind)
         if op in _FASTIO_DATA_OPS:
             # The handler declines (and the record would be silently
             # dropped) without a node and a cache map; force both.
-            if not self._ensure_node(fo, rec, want_directory=False):
-                self._skip(kind, "unresolvable file object")
+            if not self._ensure_node(fo, row, want_directory=False):
+                self._skip(kind_name, "unresolvable file object")
                 return
             if fo.node.is_directory:
-                self._skip(kind, "directory file object")
+                self._skip(kind_name, "directory file object")
                 return
             if fo.private_cache_map is None:
                 machine.cc.initialize_cache_map(fo)
         elif op in _FASTIO_NODE_OPS:
-            if not self._ensure_node(fo, rec, want_directory=False):
-                self._skip(kind, "unresolvable file object")
+            if not self._ensure_node(fo, row, want_directory=False):
+                self._skip(kind_name, "unresolvable file object")
                 return
         irp_like = Irp(
             IrpMajor.WRITE if op == FastIoOp.WRITE else IrpMajor.READ,
-            fo, rec.pid, offset=rec.offset, length=rec.length)
+            fo, row[_PID], offset=row[_OFFSET], length=row[_LENGTH])
         result = machine.io.try_fastio(op, irp_like)
         if not result.handled:
             # Declined at replay: the filter never records declined calls,
             # so this source record has no second-generation counterpart.
-            self._skip(kind, "declined at replay")
+            self._skip(kind_name, "declined at replay")
             return
-        self._finish(kind, rec, int(result.status), result.returned)
+        self._finish(kind_name, row, int(result.status), result.returned)
 
     # ------------------------------------------------------------------ #
     # Node reconstruction.
 
-    def _precreate(self, volume: Volume, path: str,
-                   rec: TraceRecord) -> None:
+    def _precreate(self, volume: Volume, path: str, row: list) -> None:
         """Create the node (and parent chain) an archived open expects."""
         node = self._build_node(
             volume, path,
-            want_directory=bool(rec.options & CreateOptions.DIRECTORY_FILE),
-            size=rec.file_size)
+            want_directory=bool(row[_OPTIONS] & CreateOptions.DIRECTORY_FILE),
+            size=row[_FILE_SIZE])
         if node is not None:
             self.outcome.nodes_precreated += 1
             if self._perf.enabled:
@@ -361,7 +408,7 @@ class ReplayInitiator:
             node.valid_data_length = size
         return node
 
-    def _ensure_node(self, fo: FileObject, rec: TraceRecord,
+    def _ensure_node(self, fo: FileObject, row: list,
                      want_directory: bool) -> bool:
         """Bind a node to a file object whose replay create failed.
 
@@ -374,7 +421,7 @@ class ReplayInitiator:
         node = fo.volume.resolve(fo.path)
         if node is None:
             node = self._build_node(fo.volume, fo.path, want_directory,
-                                    size=rec.file_size)
+                                    size=row[_FILE_SIZE])
         if node is None:
             return False
         fo.node = node
@@ -387,23 +434,23 @@ class ReplayInitiator:
     # ------------------------------------------------------------------ #
     # Accounting.
 
-    def _skip(self, kind: TraceEventKind, reason: str) -> None:
-        self.outcome.skip(kind.name, reason)
+    def _skip(self, kind_name: str, reason: str) -> None:
+        self.outcome.skip(kind_name, reason)
         self.machine.counters["replay.records_skipped"] += 1
         if self._perf.enabled:
             self._perf_skipped.add(1)
 
-    def _finish(self, kind: TraceEventKind, rec: TraceRecord,
-                status: int, returned: int) -> None:
-        self.outcome.injected[kind.name] += 1
+    def _finish(self, kind_name: str, row: list, status: int,
+                returned: int) -> None:
+        self.outcome.injected[kind_name] += 1
         self.machine.counters["replay.records_injected"] += 1
         if self._perf.enabled:
             self._perf_injected.add(1)
-        if status != rec.status:
-            self.outcome.status_divergences[kind.name] += 1
+        if status != row[_STATUS]:
+            self.outcome.status_divergences[kind_name] += 1
             if self._perf.enabled:
                 self._perf_status_div.add(1)
-        if returned != rec.returned:
-            self.outcome.returned_divergences[kind.name] += 1
+        if returned != row[_RETURNED]:
+            self.outcome.returned_divergences[kind_name] += 1
             if self._perf.enabled:
                 self._perf_returned_div.add(1)

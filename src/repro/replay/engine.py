@@ -3,8 +3,8 @@
 One :func:`replay_collector` call is the unit of work: it rebuilds the
 machine the archive describes — volumes reconstructed from the archive's
 snapshot records, remote shares re-mounted from the name records, the
-process table re-registered — and feeds every archived trace record back
-through the IRP/FastIO dispatch paths via the
+process table re-registered — and feeds every row of the archive's record
+frame back through the IRP/FastIO dispatch paths via the
 :class:`~repro.nt.io.initiator.ReplayInitiator`.  The replay machine runs
 with its trace filter attached, so the run produces a *second-generation*
 trace the fidelity analysis (:mod:`repro.analysis.fidelity`) diffs against
@@ -43,7 +43,12 @@ from repro.nt.flight.log import MetricsSection
 from repro.nt.fs.nodes import DirectoryNode
 from repro.nt.fs.path import split_path
 from repro.nt.fs.volume import Volume
-from repro.nt.io.initiator import ReplayInitiator, ReplayOutcome
+from repro.nt.io.initiator import (
+    T_START,
+    ReplayInitiator,
+    ReplayOutcome,
+    check_record_kinds,
+)
 from repro.nt.system import Machine, MachineConfig
 from repro.nt.tracing.collector import TraceCollector
 
@@ -231,15 +236,22 @@ def build_replay_machine(source: TraceCollector, index: int,
 def replay_collector(source: TraceCollector, index: int = 0,
                      config: ReplayConfig = ReplayConfig()
                      ) -> ReplayedMachine:
-    """Replay one archived machine; returns its second-generation output."""
+    """Replay one archived machine; returns its second-generation output.
+
+    Raises ``ValueError`` before injecting anything when a record's kind
+    is not a :class:`~repro.nt.tracing.records.TraceEventKind`.
+    """
+    frame = source.record_frame()
+    check_record_kinds(frame, source.machine_name)
     machine = build_replay_machine(source, index, config)
     machine.take_snapshots()
     initiator = ReplayInitiator(machine, source, mode=config.mode)
+    inject = initiator.inject
     open_loop = config.mode == "open"
-    for rec in source.records:
-        if open_loop and rec.t_start > machine.clock.now:
-            machine.run_until(rec.t_start)
-        initiator.inject(rec)
+    for row in frame.tolist():
+        if open_loop and row[T_START] > machine.clock.now:
+            machine.run_until(row[T_START])
+        inject(row)
     machine.finish_tracing(
         drain_ticks=ticks_from_seconds(config.drain_seconds))
     machine.take_snapshots()

@@ -87,10 +87,18 @@ class ReplayResult:
         return sum(m.outcome.total_divergences for m in self.machines)
 
 
+def _replay_file(task: ReplayTask) -> ReplayedMachine:
+    """Load and replay one archive file; errors name the file."""
+    source = load_collector(Path(task.path))
+    try:
+        return replay_collector(source, task.index, task.config)
+    except ValueError as exc:
+        raise ValueError(f"{task.path}: {exc}") from exc
+
+
 def _replay_task(task: ReplayTask, events_queue=None) -> dict:
     """Worker entry point: replay one archive file, return a payload."""
-    source = load_collector(Path(task.path))
-    replayed = replay_collector(source, task.index, task.config)
+    replayed = _replay_file(task)
     if events_queue is not None:
         events_queue.put({
             "event": "replay-machine-done",
@@ -148,8 +156,7 @@ def replay_archive(directory: Path | str,
     if config.workers is None:
         machines = []
         for task in tasks:
-            source = load_collector(Path(task.path))
-            replayed = replay_collector(source, task.index, config)
+            replayed = _replay_file(task)
             machines.append(replayed)
             if telemetry is not None:
                 telemetry.emit(

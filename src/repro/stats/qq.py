@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sstats
 
 from repro.stats.heavy_tail import pareto_mle
 
@@ -28,6 +27,10 @@ def qq_normal(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(observed_sorted, theoretical_quantiles)``.
     """
+    # Imported here: scipy.stats dominates the import time of the
+    # package, and only this function needs it.
+    from scipy import stats as sstats
+
     arr = np.sort(np.asarray(values, dtype=float))
     if arr.size < 3:
         raise ValueError("need at least 3 samples")

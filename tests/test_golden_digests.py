@@ -12,9 +12,11 @@ simulation semantics shows up as a reviewed diff of
 The matrix is seeds {3, 11} x {serial, two workers} x {plain; spans +
 metrics + runtime verifier}.  Serial and parallel runs of a case share
 one golden entry, so the matrix also holds the two execution shapes
-byte-identical.  One closed-loop replay of the seed-3 plain archive on
-``hdd_ide`` storage with a 0.5 MB what-if cache pins the
-second-generation collectors and perf document.
+byte-identical.  Three replays of the seed-3 plain archive pin the
+second-generation collectors and perf document: closed loop on
+``hdd_ide`` storage with a 0.5 MB what-if cache (``replay``), open loop
+with the inline media pricing (``replay-open``), and closed loop on
+``ssd`` storage (``replay-ssd``).
 
 Regenerate after an intended semantics change with::
 
@@ -45,7 +47,11 @@ CASES = [(seed, shape, mode)
          for seed in SEEDS for shape in SHAPES for mode in MODES]
 
 REPLAY_SOURCE = (3, "plain")
-REPLAY_CONFIG = ReplayConfig(mode="closed", storage="hdd_ide", cache_mb=0.5)
+REPLAY_CONFIGS = {
+    "replay": ReplayConfig(mode="closed", storage="hdd_ide", cache_mb=0.5),
+    "replay-open": ReplayConfig(mode="open"),
+    "replay-ssd": ReplayConfig(mode="closed", storage="ssd"),
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -78,14 +84,19 @@ def study_digests(result) -> dict:
 
 
 def replay_digests(source_result) -> dict:
+    """Golden key -> digests of one replay per :data:`REPLAY_CONFIGS`."""
+    digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         save_study(source_result.collectors, Path(tmp))
-        replayed = replay_archive(tmp, REPLAY_CONFIG)
-    return {
-        "collectors": {c.machine_name: _sha256(pack_collector(c))
-                       for c in replayed.collectors},
-        "perf_json": _sha256(perf_json_bytes(replayed.perf_by_machine)),
-    }
+        for key, config in REPLAY_CONFIGS.items():
+            replayed = replay_archive(tmp, config)
+            digests[key] = {
+                "collectors": {c.machine_name: _sha256(pack_collector(c))
+                               for c in replayed.collectors},
+                "perf_json": _sha256(
+                    perf_json_bytes(replayed.perf_by_machine)),
+            }
+    return digests
 
 
 def case_key(seed: int, mode: str) -> str:
@@ -105,8 +116,8 @@ def compute_golden() -> dict:
         else:
             studies[key] = digests
         if (seed, mode) == REPLAY_SOURCE and shape == "serial":
-            replay = replay_digests(result)
-    return {"format": "nt-golden-1", "studies": studies, "replay": replay}
+            replays = replay_digests(result)
+    return {"format": "nt-golden-1", "studies": studies, **replays}
 
 
 # --------------------------------------------------------------------- #
@@ -163,9 +174,22 @@ def test_full_mode_records_spans_and_metrics(studies):
         assert result.metrics
 
 
-def test_closed_loop_replay_matches_golden(studies, golden):
+@pytest.fixture(scope="module")
+def replays(studies) -> dict:
     seed, mode = REPLAY_SOURCE
-    assert replay_digests(studies(seed, "serial", mode)) == golden["replay"]
+    return replay_digests(studies(seed, "serial", mode))
+
+
+def test_closed_loop_replay_matches_golden(replays, golden):
+    assert replays["replay"] == golden["replay"]
+
+
+def test_open_loop_replay_matches_golden(replays, golden):
+    assert replays["replay-open"] == golden["replay-open"]
+
+
+def test_ssd_replay_matches_golden(replays, golden):
+    assert replays["replay-ssd"] == golden["replay-ssd"]
 
 
 if __name__ == "__main__":

@@ -14,6 +14,10 @@ harness in ``test_parallel_study.py``:
 * **Plumbing** — open-loop mode honors archived start times, the CLI
   round-trips a study through ``repro replay``, and malformed inputs
   fail with named errors.
+* **Columnar injection** — the initiator's per-kind plan table agrees
+  with the inverse maps in :mod:`repro.nt.tracing.records`, and replay
+  reads the source's record frame without materialising a
+  ``TraceRecord``.
 """
 
 from __future__ import annotations
@@ -22,12 +26,19 @@ import json
 
 import pytest
 
-from repro import StudyConfig, run_study
+from repro import StudyConfig, StudyError, run_study
 from repro.analysis.fidelity import (CORE_KINDS, TraceStats, fidelity_report,
                                      machine_fidelity)
 from repro.cli import main as cli_main
+from repro.nt.io.initiator import KIND_PLANS
 from repro.nt.tracing.collector import TraceCollector
-from repro.nt.tracing.records import TraceEventKind, TraceRecord
+from repro.nt.tracing.records import (
+    N_EVENT_KINDS,
+    TraceEventKind,
+    TraceRecord,
+    fastio_op_for_kind,
+    irp_for_kind,
+)
 from repro.nt.tracing.store import (
     iter_trace_records,
     load_collector,
@@ -169,20 +180,21 @@ class TestDeterminism:
             assert serial_m.perf == parallel_m.perf
 
 
-class TestUnreplayableRecords:
-    def _record(self, kind: TraceEventKind, fo_id: int) -> TraceRecord:
-        return TraceRecord(kind=int(kind), fo_id=fo_id, pid=8, t_start=0,
-                           t_end=10, status=0, irp_flags=0, offset=0,
-                           length=0, returned=0, file_size=0, disposition=1,
-                           options=0, attributes=0, info=0)
+def _record(kind: int, fo_id: int) -> TraceRecord:
+    return TraceRecord(kind=int(kind), fo_id=fo_id, pid=8, t_start=0,
+                       t_end=10, status=0, irp_flags=0, offset=0,
+                       length=0, returned=0, file_size=0, disposition=1,
+                       options=0, attributes=0, info=0)
 
+
+class TestUnreplayableRecords:
     def test_orphan_records_flagged_not_dropped(self):
         # A CREATE with no name record, and a READ on a never-created file
         # object, cannot be reconstructed; both must be accounted for.
         source = TraceCollector("m00-orphans")
         source.records.extend([
-            self._record(TraceEventKind.IRP_CREATE, fo_id=100),
-            self._record(TraceEventKind.IRP_READ, fo_id=200),
+            _record(TraceEventKind.IRP_CREATE, fo_id=100),
+            _record(TraceEventKind.IRP_READ, fo_id=200),
         ])
         machine = replay_collector(source)
         outcome = machine.outcome
@@ -201,6 +213,66 @@ class TestUnreplayableRecords:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="replay mode"):
             ReplayConfig(mode="sideways")
+
+
+class TestColumnarInjection:
+    def test_plan_table_matches_inverse_maps(self):
+        assert len(KIND_PLANS) == N_EVENT_KINDS
+        for kind in TraceEventKind:
+            if kind.is_fastio:
+                want = (kind, kind.name, True, None, None,
+                        fastio_op_for_kind(kind))
+            else:
+                major, minor = irp_for_kind(kind)
+                want = (kind, kind.name, False, major, minor, None)
+            assert KIND_PLANS[int(kind)] == want, kind.name
+
+    def test_replay_leaves_source_records_staged(self, archived_study):
+        _result, directory = archived_study
+        source = load_collector(study_paths(directory)[0])
+        machine = replay_collector(source)
+        materialised, blocks = source.record_chunks()
+        assert materialised == [] and blocks
+        assert machine.outcome.source_records == len(source)
+
+
+class TestOutOfRangeKinds:
+    """A record kind outside the 54 event kinds fails before injection,
+    with an error naming the archive file, the record and the value."""
+
+    @pytest.fixture(params=[-1, N_EVENT_KINDS], ids=["minus1", "n_kinds"])
+    def bad_archive(self, request, tmp_path):
+        source = TraceCollector("m00-badkind")
+        source.records.extend([
+            _record(TraceEventKind.IRP_CREATE, fo_id=100),
+            _record(TraceEventKind.IRP_READ, fo_id=100),
+            _record(request.param, fo_id=100),
+        ])
+        save_study([source], tmp_path)
+        return tmp_path, request.param
+
+    def test_replay_archive_names_file_record_and_kind(self, bad_archive):
+        directory, kind = bad_archive
+        with pytest.raises(ValueError) as info:
+            replay_archive(directory)
+        message = str(info.value)
+        assert str(directory / "m00-badkind.nttrace") in message
+        assert f"record 2 has event kind {kind}," in message
+
+    def test_worker_error_names_machine(self, bad_archive):
+        directory, kind = bad_archive
+        with pytest.raises(StudyError,
+                           match=rf"m00-badkind.*record 2 has event kind "
+                                 rf"{kind},"):
+            replay_archive(directory, ReplayConfig(workers=2))
+
+    def test_cli_exits_with_one_line(self, bad_archive):
+        directory, kind = bad_archive
+        for argv in (["replay"], ["replay", "--workers", "2"],
+                     ["whatif", "--grid", "devices=ssd"]):
+            with pytest.raises(SystemExit,
+                               match=rf"record 2 has event kind {kind},"):
+                cli_main([*argv, "--traces", str(directory)])
 
 
 class TestReplayCli:

@@ -1,9 +1,15 @@
 """Tests for QQ-plot data, the Poisson burstiness comparison, and the
 variance-time self-similarity check."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.stats.distributions import Pareto
 from repro.stats.poisson import (
     aggregate_counts,
@@ -16,6 +22,18 @@ from repro.stats.selfsim import hurst_from_variance_time, variance_time_points
 
 
 class TestQq:
+    def test_pipeline_import_does_not_load_scipy(self):
+        # scipy.stats dominates the package's import time (and every spawn
+        # worker pays it again); qq_normal imports it on first use.
+        code = ("import sys, repro, repro.workload.campaign, repro.replay, "
+                "repro.analysis; print('scipy' in sys.modules)")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_normal_sample_fits_normal(self):
         rng = np.random.default_rng(1)
         sample = rng.normal(10, 2, size=5000)
