@@ -879,7 +879,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
     try:
         source_paths = study_paths(args.traces)
         result = replay_archive(args.traces, config, telemetry=telemetry)
-    except (FileNotFoundError, ValueError, StudyError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
+        raise SystemExit(str(exc)) from None
+    except StudyError as exc:
+        if not isinstance(exc.__cause__, ValueError):
+            raise
         raise SystemExit(str(exc)) from None
     wall_seconds = time.perf_counter() - begin
     report = fidelity_report(
@@ -931,7 +935,11 @@ def cmd_whatif(args: argparse.Namespace) -> int:
     try:
         report = whatif_sweep(args.traces, grid, config,
                               telemetry=telemetry)
-    except (FileNotFoundError, ValueError, StudyError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
+        raise SystemExit(str(exc)) from None
+    except StudyError as exc:
+        if not isinstance(exc.__cause__, ValueError):
+            raise
         raise SystemExit(str(exc)) from None
     print(report.format())
     if args.json is not None:

@@ -14,7 +14,7 @@ the source collector's record frame
 inversion is table-driven: :data:`KIND_PLANS`, built once at import from
 :func:`~repro.nt.tracing.records.irp_for_kind` and
 :func:`~repro.nt.tracing.records.fastio_op_for_kind`, maps each kind int
-to ``(kind, kind name, is_fastio, major, minor, fastio op)``, so no enum
+to ``(kind name, is_fastio, major, minor, fastio op)``, so no enum
 is constructed per record.  The row's flags go into the IRP as the int
 they already are; only the create path builds the create-parameter
 flags.  Callers must range-check the kind column first
@@ -91,12 +91,12 @@ _CREATE = int(TraceEventKind.IRP_CREATE)
 
 def _plan(kind: TraceEventKind) -> tuple:
     if kind.is_fastio:
-        return (kind, kind.name, True, None, None, fastio_op_for_kind(kind))
+        return (kind.name, True, None, None, fastio_op_for_kind(kind))
     major, minor = irp_for_kind(kind)
-    return (kind, kind.name, False, major, minor, None)
+    return (kind.name, False, major, minor, None)
 
 
-# Kind int -> (kind, kind name, is_fastio, major, minor, fastio op).
+# Kind int -> (kind name, is_fastio, major, minor, fastio op).
 KIND_PLANS = tuple(_plan(TraceEventKind(k)) for k in range(N_EVENT_KINDS))
 
 
@@ -137,6 +137,22 @@ _FASTIO_NODE_OPS = frozenset({
     FastIoOp.QUERY_BASIC_INFO, FastIoOp.QUERY_STANDARD_INFO,
     FastIoOp.QUERY_NETWORK_OPEN_INFO, FastIoOp.QUERY_OPEN,
 })
+
+
+class ArchivedCompletion:
+    """The archived status and transfer count of one record.
+
+    :meth:`ReplayInitiator._finish` compares a replayed completion with
+    this one.  It is the initiator's one per-completion hook (the
+    benchmark self-tests wrap it), so the archived side arrives by name
+    rather than as a bare row index.
+    """
+
+    __slots__ = ("status", "returned")
+
+    def __init__(self, row: list) -> None:
+        self.status = row[_STATUS]
+        self.returned = row[_RETURNED]
 
 
 class ReplayOutcome:
@@ -244,7 +260,7 @@ class ReplayInitiator:
         """Re-issue one archived record (a record-frame row)."""
         self.outcome.source_records += 1
         k = row[_KIND]
-        _kind, kind_name, is_fastio, major, minor, op = KIND_PLANS[k]
+        kind_name, is_fastio, major, minor, op = KIND_PLANS[k]
         if k == _MOUNT:
             self._map_mount(row, kind_name)
             return
@@ -298,7 +314,8 @@ class ReplayInitiator:
         irp.create_options = CreateOptions(row[_OPTIONS])
         irp.create_attributes = FileAttributes(row[_ATTRIBUTES])
         machine.io.send_irp(irp)
-        self._finish(kind_name, row, int(irp.status), irp.returned)
+        self._finish(kind_name, ArchivedCompletion(row), int(irp.status),
+                     irp.returned)
 
     def _inject_irp(self, row: list, kind_name: str, major: IrpMajor,
                     minor: IrpMinor, fo: FileObject) -> None:
@@ -334,7 +351,8 @@ class ReplayInitiator:
             fo.cleanup_done = True
         elif major == IrpMajor.CLOSE:
             fo.closed = True
-        self._finish(kind_name, row, int(irp.status), irp.returned)
+        self._finish(kind_name, ArchivedCompletion(row), int(irp.status),
+                     irp.returned)
 
     def _inject_fastio(self, row: list, kind_name: str, op: FastIoOp,
                        fo: FileObject) -> None:
@@ -363,7 +381,8 @@ class ReplayInitiator:
             # so this source record has no second-generation counterpart.
             self._skip(kind_name, "declined at replay")
             return
-        self._finish(kind_name, row, int(result.status), result.returned)
+        self._finish(kind_name, ArchivedCompletion(row),
+                     int(result.status), result.returned)
 
     # ------------------------------------------------------------------ #
     # Node reconstruction.
@@ -440,17 +459,17 @@ class ReplayInitiator:
         if self._perf.enabled:
             self._perf_skipped.add(1)
 
-    def _finish(self, kind_name: str, row: list, status: int,
-                returned: int) -> None:
+    def _finish(self, kind_name: str, archived: ArchivedCompletion,
+                status: int, returned: int) -> None:
         self.outcome.injected[kind_name] += 1
         self.machine.counters["replay.records_injected"] += 1
         if self._perf.enabled:
             self._perf_injected.add(1)
-        if status != row[_STATUS]:
+        if status != archived.status:
             self.outcome.status_divergences[kind_name] += 1
             if self._perf.enabled:
                 self._perf_status_div.add(1)
-        if returned != row[_RETURNED]:
+        if returned != archived.returned:
             self.outcome.returned_divergences[kind_name] += 1
             if self._perf.enabled:
                 self._perf_returned_div.add(1)

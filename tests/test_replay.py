@@ -220,11 +220,11 @@ class TestColumnarInjection:
         assert len(KIND_PLANS) == N_EVENT_KINDS
         for kind in TraceEventKind:
             if kind.is_fastio:
-                want = (kind, kind.name, True, None, None,
+                want = (kind.name, True, None, None,
                         fastio_op_for_kind(kind))
             else:
                 major, minor = irp_for_kind(kind)
-                want = (kind, kind.name, False, major, minor, None)
+                want = (kind.name, False, major, minor, None)
             assert KIND_PLANS[int(kind)] == want, kind.name
 
     def test_replay_leaves_source_records_staged(self, archived_study):
@@ -273,6 +273,22 @@ class TestOutOfRangeKinds:
             with pytest.raises(SystemExit,
                                match=rf"record 2 has event kind {kind},"):
                 cli_main([*argv, "--traces", str(directory)])
+
+    def test_cli_keeps_other_worker_failures(self, tmp_path, monkeypatch):
+        # Only a worker's ValueError becomes a one-line exit; any other
+        # failure (a programming error) keeps its traceback.
+        import repro.replay
+        import repro.replay.whatif
+
+        def fail(*_args, **_kwargs):
+            raise StudyError("parallel worker failed") from KeyError("x")
+
+        monkeypatch.setattr(repro.replay, "replay_archive", fail)
+        monkeypatch.setattr(repro.replay.whatif, "whatif_sweep", fail)
+        save_study([TraceCollector("m00-empty")], tmp_path)
+        for argv in (["replay"], ["whatif", "--grid", "devices=ssd"]):
+            with pytest.raises(StudyError, match="parallel worker failed"):
+                cli_main([*argv, "--traces", str(tmp_path)])
 
 
 class TestReplayCli:
