@@ -21,9 +21,15 @@ def test_sec2_categories(benchmark, study, warehouse):
     sci = profiles.get("scientific")
     pool = profiles.get("pool")
     walkup = profiles.get("walkup")
-    if sci is not None and walkup is not None and sci.file_sizes \
-            and walkup.file_sizes:
-        biggest_sci = max(sci.file_sizes)
+    sci_machines = {idx for idx, name in enumerate(warehouse.machine_names)
+                    if warehouse.machine_categories.get(name)
+                    == "scientific"}
+    sci_sizes = [inst.file_size_max for inst in warehouse.instances
+                 if inst.machine_idx in sci_machines
+                 and not inst.open_failed and inst.has_data]
+    if sci is not None and walkup is not None and sci_sizes \
+            and walkup.n_data_opens:
+        biggest_sci = max(sci_sizes)
         print_row("largest scientific file vs walk-up p90", "10x larger",
                   f"{biggest_sci / max(walkup.p90_file_size, 1):.1f}x")
         # The dataset files are 100-300 MB; nothing on a walk-up machine

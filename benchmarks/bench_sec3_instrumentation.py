@@ -17,11 +17,11 @@ from benchmarks.conftest import print_header, print_row
 def _instrumentation_stats(study, warehouse):
     per_machine_rates = []
     for collector in study.collectors:
-        if not collector.records:
+        if not len(collector):
             continue
-        t = np.asarray([r.t_start for r in collector.records])
+        t = collector.record_frame()[:, 3]          # t_start
         span = (t.max() - t.min()) / 1e7
-        per_machine_rates.append(len(collector.records) / max(span, 1e-9))
+        per_machine_rates.append(len(collector) / max(span, 1e-9))
     distinct_kinds = len(np.unique(warehouse.kind))
     return per_machine_rates, distinct_kinds
 

@@ -90,9 +90,7 @@ from repro.analysis.streaming import (
     sketch_from_archive,
     sketch_from_study,
     sketch_from_warehouse,
-    streaming_category_profiles,
     streaming_figure_series,
-    streaming_pattern_table,
 )
 
 __all__ = [
@@ -158,7 +156,5 @@ __all__ = [
     "sketch_from_archive",
     "sketch_from_study",
     "sketch_from_warehouse",
-    "streaming_category_profiles",
     "streaming_figure_series",
-    "streaming_pattern_table",
 ]

@@ -11,11 +11,12 @@ cut over the instance table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from repro.analysis.patterns import machine_row
 from repro.common.clock import TICKS_PER_SECOND
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -24,17 +25,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class CategoryProfile:
-    """One usage category's aggregate behaviour."""
+    """One usage category's aggregate behaviour.
+
+    The counts are sums of the category's per-machine
+    :func:`~repro.analysis.patterns.machine_row` rows.  The file-size
+    quantiles are given by the caller: exact over the instance table on
+    the warehouse path, from the mergeable digest on the streaming path.
+    """
 
     category: str
+    span_ticks: int
+    median_file_size: float
+    p90_file_size: float
     n_machines: int = 0
     n_opens: int = 0
     n_data_opens: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
-    file_sizes: list = field(default_factory=list)
     paging_view_bytes: int = 0   # mapped-view / image paging data
-    span_ticks: int = 0
 
     @property
     def bytes_total(self) -> int:
@@ -48,48 +56,58 @@ class CategoryProfile:
         seconds = self.span_ticks / TICKS_PER_SECOND
         return self.bytes_total / 1024.0 / seconds / self.n_machines
 
-    @property
-    def median_file_size(self) -> float:
-        if not self.file_sizes:
-            return float("nan")
-        return float(np.median(self.file_sizes))
 
-    @property
-    def p90_file_size(self) -> float:
-        if not self.file_sizes:
-            return float("nan")
-        return float(np.percentile(self.file_sizes, 90))
+def category_profiles(rows: Iterable[dict], span_ticks: int,
+                      file_size_quantiles: dict[str, tuple[float, float]]
+                      ) -> dict[str, CategoryProfile]:
+    """The category table from per-machine rows carrying a ``category``.
+
+    Machines without instances are left out.  ``file_size_quantiles``
+    maps each category to its (median, p90) file size.
+    """
+    profiles: dict[str, CategoryProfile] = {}
+    for row in rows:
+        if row["n_instances"] == 0:
+            continue
+        category = row["category"]
+        profile = profiles.get(category)
+        if profile is None:
+            profile = profiles[category] = CategoryProfile(
+                category, span_ticks, *file_size_quantiles[category])
+        profile.n_machines += 1
+        profile.n_opens += row["n_instances"]
+        profile.n_data_opens += row["n_data"]
+        profile.bytes_read += row["bytes_read"]
+        profile.bytes_written += row["bytes_written"]
+        profile.paging_view_bytes += row["paging_view_bytes"]
+    return profiles
+
+
+def _exact_quantiles(sizes: list[float]) -> tuple[float, float]:
+    if not sizes:
+        return float("nan"), float("nan")
+    return float(np.median(sizes)), float(np.percentile(sizes, 90))
 
 
 def by_category(wh: "TraceWarehouse",
                 duration_ticks: int | None = None
                 ) -> dict[str, CategoryProfile]:
     """Aggregate the instance table by machine usage category."""
-    categories: dict[int, str] = {}
-    for idx, name in enumerate(wh.machine_names):
-        categories[idx] = wh.machine_categories.get(name, "unknown")
     if duration_ticks is None:
         duration_ticks = int(wh.t_end.max()) if wh.n_records else 0
-    profiles: dict[str, CategoryProfile] = {}
-    machine_counts: dict[str, set] = {}
-    for inst in wh.instances:
-        category = categories.get(inst.machine_idx, "unknown")
-        profile = profiles.setdefault(category, CategoryProfile(category))
-        machine_counts.setdefault(category, set()).add(inst.machine_idx)
-        profile.n_opens += 1
-        if inst.open_failed:
-            continue
-        if inst.has_data:
-            profile.n_data_opens += 1
-            profile.bytes_read += inst.bytes_read
-            profile.bytes_written += inst.bytes_written
-            profile.file_sizes.append(float(inst.file_size_max))
-            if inst.image_access:
-                profile.paging_view_bytes += inst.bytes_read
-    for category, profile in profiles.items():
-        profile.n_machines = len(machine_counts.get(category, set()))
-        profile.span_ticks = duration_ticks
-    return profiles
+    rows: list[dict] = []
+    sizes: dict[str, list[float]] = {}
+    for idx, group in enumerate(wh.instances_by_machine()):
+        category = wh.machine_categories.get(wh.machine_names[idx],
+                                             "unknown")
+        rows.append(dict(machine_row(group), category=category))
+        sizes.setdefault(category, []).extend(
+            float(inst.file_size_max) for inst in group
+            if not inst.open_failed and inst.has_data)
+    return category_profiles(
+        rows, duration_ticks,
+        {category: _exact_quantiles(sample)
+         for category, sample in sizes.items()})
 
 
 def format_category_table(profiles: dict[str, CategoryProfile]) -> str:

@@ -10,7 +10,7 @@ the ranges being, as §7 argues, the truly important numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -108,36 +108,77 @@ def _data_instances(wh: "TraceWarehouse") -> list["Instance"]:
             if not s.open_failed and s.has_data and s.usage != "none"]
 
 
-def access_pattern_table(wh: "TraceWarehouse") -> AccessPatternTable:
-    """Compute table 3 from the instance table."""
-    instances = _data_instances(wh)
-    machines = sorted({s.machine_idx for s in instances})
-    # percentage samples per machine: {(usage, pattern or 'usage'):
-    #   ([accesses_pct...], [bytes_pct...])}
+def machine_row(instances: Iterable["Instance"]) -> dict:
+    """One machine's counts from its instance list: the input of table 3
+    and of the usage-category table.
+
+    Plain integers: instance, failed-open and data-instance counts, byte
+    sums, mapped-view paging bytes, and an instance count and byte sum
+    per usage × pattern cell.  The streaming sketch stores this as its
+    per-machine row; the warehouse builds it per machine group of its
+    instance table.  Both paths render the tables from it.
+    """
+    n_instances = n_failed = n_data = 0
+    total = read = written = paging = 0
+    usage_cells = {u: {"n": 0, "bytes": 0,
+                       "patterns": {p: {"n": 0, "bytes": 0}
+                                    for p in PATTERNS}}
+                   for u in USAGES}
+    for inst in instances:
+        n_instances += 1
+        if inst.open_failed:
+            n_failed += 1
+            continue
+        if not inst.has_data:
+            continue
+        # has_data implies usage != 'none': a data instance.
+        transferred = inst.bytes_transferred
+        cell = usage_cells[inst.usage]
+        cell["n"] += 1
+        cell["bytes"] += transferred
+        pattern = cell["patterns"][inst.access_pattern()]
+        pattern["n"] += 1
+        pattern["bytes"] += transferred
+        n_data += 1
+        total += transferred
+        read += inst.bytes_read
+        written += inst.bytes_written
+        if inst.image_access:
+            paging += inst.bytes_read
+    return {"n_instances": n_instances, "n_failed_opens": n_failed,
+            "n_data": n_data, "bytes": total, "bytes_read": read,
+            "bytes_written": written, "paging_view_bytes": paging,
+            "usage": usage_cells}
+
+
+def pattern_table(rows: Iterable[dict]) -> AccessPatternTable:
+    """Table 3 from per-machine :func:`machine_row` rows, in machine order.
+
+    Each machine with data instances contributes one percentage sample
+    per cell; a cell's mean and [min, max] run over those samples.
+    """
     samples: dict[tuple[str, str], tuple[list[float], list[float]]] = {
-        (u, p): ([], []) for u in USAGES
-        for p in PATTERNS + ("usage",)}
-    for m in machines:
-        subset = [s for s in instances if s.machine_idx == m]
-        total_n = len(subset)
-        total_b = sum(s.bytes_transferred for s in subset)
+        (u, p): ([], []) for u in USAGES for p in PATTERNS + ("usage",)}
+    n_instances = 0
+    for row in rows:
+        total_n = row["n_data"]
+        total_b = row["bytes"]
+        n_instances += total_n
         if total_n == 0:
             continue
         for usage in USAGES:
-            of_usage = [s for s in subset if s.usage == usage]
-            usage_n = len(of_usage)
-            usage_b = sum(s.bytes_transferred for s in of_usage)
+            cell = row["usage"][usage]
+            usage_n = cell["n"]
+            usage_b = cell["bytes"]
             acc, byt = samples[(usage, "usage")]
             acc.append(100.0 * usage_n / total_n)
             byt.append(100.0 * usage_b / total_b if total_b else 0.0)
             for pattern in PATTERNS:
-                of_pat = [s for s in of_usage
-                          if s.access_pattern() == pattern]
-                pat_n = len(of_pat)
-                pat_b = sum(s.bytes_transferred for s in of_pat)
+                pat = cell["patterns"][pattern]
                 acc, byt = samples[(usage, pattern)]
-                acc.append(100.0 * pat_n / usage_n if usage_n else 0.0)
-                byt.append(100.0 * pat_b / usage_b if usage_b else 0.0)
+                acc.append(100.0 * pat["n"] / usage_n if usage_n else 0.0)
+                byt.append(100.0 * pat["bytes"] / usage_b
+                           if usage_b else 0.0)
     cells = {}
     for key, (acc, byt) in samples.items():
         a = np.asarray(acc) if acc else np.array([0.0])
@@ -147,7 +188,13 @@ def access_pattern_table(wh: "TraceWarehouse") -> AccessPatternTable:
             accesses_max=float(a.max()),
             bytes_mean=float(b.mean()), bytes_min=float(b.min()),
             bytes_max=float(b.max()))
-    return AccessPatternTable(cells=cells, n_instances=len(instances))
+    return AccessPatternTable(cells=cells, n_instances=n_instances)
+
+
+def access_pattern_table(wh: "TraceWarehouse") -> AccessPatternTable:
+    """Compute table 3 from the instance table."""
+    return pattern_table(machine_row(group)
+                         for group in wh.instances_by_machine())
 
 
 @dataclass

@@ -42,6 +42,9 @@ from typing import Optional, Union, TYPE_CHECKING
 
 import numpy as np
 
+from repro.analysis.categories import (category_profiles,
+                                      format_category_table)
+from repro.analysis.patterns import USAGES, machine_row, pattern_table
 from repro.common.clock import (
     TICKS_PER_MICROSECOND,
     TICKS_PER_MILLISECOND,
@@ -78,8 +81,6 @@ _READ_KINDS = frozenset((int(TraceEventKind.IRP_READ),
                          int(TraceEventKind.FASTIO_READ)))
 _KIND_CREATE = int(TraceEventKind.IRP_CREATE)
 
-_USAGES = ("read-only", "write-only", "read-write")
-_PATTERNS = ("whole", "sequential", "random")
 _METHODS = ("overwrite", "explicit", "temporary")
 
 # Figure 7's scatter keeps a deterministic sample: the K smallest
@@ -309,12 +310,6 @@ def _hist_merge(a: LatencyHistogram, b: LatencyHistogram) -> None:
 # --------------------------------------------------------------------- #
 # The sketch.
 
-def _empty_usage_cells() -> dict:
-    return {u: {"n": 0, "bytes": 0,
-                "patterns": {p: {"n": 0, "bytes": 0} for p in _PATTERNS}}
-            for u in _USAGES}
-
-
 class StatsSketch:
     """Mergeable streaming aggregates for one shard of a fleet study.
 
@@ -323,8 +318,9 @@ class StatsSketch:
     open-time / lifetime / interarrival / session digests, the figure 8
     burst bins and the figure 7 keep-K death sample.  Per-machine state:
     one row of plain integers keyed by machine index (disjoint across
-    shards), carrying exactly the counts the category and pattern tables
-    need.
+    shards): the :func:`~repro.analysis.patterns.machine_row` counts the
+    category and pattern tables render from, plus the machine's name,
+    category, record count and created-file count.
     """
 
     def __init__(self, burst_bin_ticks: int = TICKS_PER_SECOND) -> None:
@@ -345,8 +341,8 @@ class StatsSketch:
         # Instance-level.
         self.runs_files = {"read": Digest(), "write": Digest()}
         self.runs_bytes = {"read": Digest(), "write": Digest()}
-        self.size_opens = {u: Digest() for u in _USAGES}
-        self.size_bytes = {u: Digest() for u in _USAGES}
+        self.size_opens = {u: Digest() for u in USAGES}
+        self.size_bytes = {u: Digest() for u in USAGES}
         self.open_time = {"all": Digest(), "local": Digest(),
                           "network": Digest()}
         self.lifetime = {m: Digest() for m in _METHODS}
@@ -418,14 +414,8 @@ class StatsSketch:
             raise ValueError(
                 f"machine index {machine_idx} folded twice "
                 f"(shards must be disjoint)")
-        row = {
-            "name": name, "category": category,
-            "n_records": n_records, "n_instances": 0,
-            "n_failed_opens": 0, "n_data": 0, "n_created": 0,
-            "bytes": 0, "bytes_read": 0, "bytes_written": 0,
-            "paging_view_bytes": 0,
-            "usage": _empty_usage_cells(),
-        }
+        row = machine_row(instances)
+        row.update(name=name, category=category, n_records=n_records)
         self.machines[machine_idx] = row
         cat_sizes = self.category_sizes.get(category)
         if cat_sizes is None:
@@ -435,10 +425,8 @@ class StatsSketch:
         data_times: list[int] = []
         control_times: list[int] = []
         for inst in instances:
-            row["n_instances"] += 1
             all_times.append(inst.open_t)
             if inst.open_failed:
-                row["n_failed_opens"] += 1
                 continue
             duration = inst.session_duration
             self.session["all"].add(duration)
@@ -450,23 +438,9 @@ class StatsSketch:
                     self.open_time["network"].add(duration)
                 else:
                     self.open_time["local"].add(duration)
-                # has_data implies usage != 'none': a data instance.
-                usage_cell = row["usage"][inst.usage]
-                transferred = inst.bytes_transferred
-                usage_cell["n"] += 1
-                usage_cell["bytes"] += transferred
-                pat = usage_cell["patterns"][inst.access_pattern()]
-                pat["n"] += 1
-                pat["bytes"] += transferred
-                row["n_data"] += 1
-                row["bytes"] += transferred
-                row["bytes_read"] += inst.bytes_read
-                row["bytes_written"] += inst.bytes_written
-                if inst.image_access:
-                    row["paging_view_bytes"] += inst.bytes_read
                 size = max(inst.file_size_max, 0)
                 self.size_opens[inst.usage].add(size)
-                self.size_bytes[inst.usage].add(size, transferred)
+                self.size_bytes[inst.usage].add(size, inst.bytes_transferred)
                 cat_sizes.add(size)
                 for run in inst.sequential_runs(reads=True):
                     self.runs_files["read"].add(run)
@@ -533,7 +507,7 @@ class StatsSketch:
         for direction in ("read", "write"):
             self.runs_files[direction].merge(other.runs_files[direction])
             self.runs_bytes[direction].merge(other.runs_bytes[direction])
-        for u in _USAGES:
+        for u in USAGES:
             self.size_opens[u].merge(other.size_opens[u])
             self.size_bytes[u].merge(other.size_bytes[u])
         for k in self.open_time:
@@ -583,9 +557,9 @@ class StatsSketch:
                 "runs_bytes": {d: self.runs_bytes[d].to_dict()
                                for d in ("read", "write")},
                 "size_opens": {u: self.size_opens[u].to_dict()
-                               for u in _USAGES},
+                               for u in USAGES},
                 "size_bytes": {u: self.size_bytes[u].to_dict()
-                               for u in _USAGES},
+                               for u in USAGES},
                 "open_time": {k: v.to_dict()
                               for k, v in self.open_time.items()},
                 "lifetime": {m: self.lifetime[m].to_dict()
@@ -632,9 +606,9 @@ class StatsSketch:
         sketch.runs_bytes = {d: Digest.from_dict(inst["runs_bytes"][d])
                              for d in ("read", "write")}
         sketch.size_opens = {u: Digest.from_dict(inst["size_opens"][u])
-                             for u in _USAGES}
+                             for u in USAGES}
         sketch.size_bytes = {u: Digest.from_dict(inst["size_bytes"][u])
-                             for u in _USAGES}
+                             for u in USAGES}
         sketch.open_time = {k: Digest.from_dict(v)
                             for k, v in inst["open_time"].items()}
         sketch.lifetime = {m: Digest.from_dict(inst["lifetime"][m])
@@ -764,21 +738,18 @@ def sketch_from_warehouse(wh: "TraceWarehouse",
     columnar warehouse, for exact reconciliation at seed scale."""
     sketch = StatsSketch(burst_bin_ticks=burst_bin_ticks)
     n_machines = len(wh.machine_names)
-    categories = {idx: wh.machine_categories.get(name, "unknown")
-                  for idx, name in enumerate(wh.machine_names)}
     # Record-level stats from the columns (rows are machine-major).
     per_machine_records = np.bincount(
         wh.machine_idx, minlength=n_machines) if wh.n_records \
         else np.zeros(n_machines, dtype=np.int64)
     sketch._update_frame(wh.record_frame())
-    # Instance-level stats: wh.instances is sorted by (machine, open_t),
-    # so per-machine groups preserve the order the streaming fold uses.
-    groups: dict[int, list] = {idx: [] for idx in range(n_machines)}
-    for inst in wh.instances:
-        groups[inst.machine_idx].append(inst)
-    for idx, name in enumerate(wh.machine_names):
-        sketch._fold_instances(idx, name, categories[idx],
-                               int(per_machine_records[idx]), groups[idx])
+    # Instance-level stats: the per-machine groups keep the (open_t,
+    # fo_id) order the streaming fold uses.
+    for idx, (name, group) in enumerate(zip(wh.machine_names,
+                                            wh.instances_by_machine())):
+        sketch._fold_instances(idx, name,
+                               wh.machine_categories.get(name, "unknown"),
+                               int(per_machine_records[idx]), group)
     return sketch
 
 
@@ -818,117 +789,7 @@ def reconcile_sketch(sketch: StatsSketch,
 
 
 # --------------------------------------------------------------------- #
-# Streaming tables and figure series.
-
-class StreamingCategoryProfile:
-    """Duck-typed :class:`~repro.analysis.categories.CategoryProfile`
-    built from sketch rows; file-size quantiles come from the mergeable
-    digest instead of a materialized sample list."""
-
-    def __init__(self, category: str, span_ticks: int) -> None:
-        self.category = category
-        self.n_machines = 0
-        self.n_opens = 0
-        self.n_data_opens = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.paging_view_bytes = 0
-        self.span_ticks = span_ticks
-        self.size_digest = Digest()
-
-    @property
-    def bytes_total(self) -> int:
-        return self.bytes_read + self.bytes_written
-
-    @property
-    def throughput_kbs(self) -> float:
-        if self.span_ticks <= 0 or self.n_machines == 0:
-            return float("nan")
-        seconds = self.span_ticks / TICKS_PER_SECOND
-        return self.bytes_total / 1024.0 / seconds / self.n_machines
-
-    @property
-    def median_file_size(self) -> float:
-        return self.size_digest.quantile(0.5)
-
-    @property
-    def p90_file_size(self) -> float:
-        return self.size_digest.quantile(0.9)
-
-
-def streaming_category_profiles(sketch: StatsSketch,
-                                duration_ticks: Optional[int] = None
-                                ) -> dict[str, StreamingCategoryProfile]:
-    """The §6.1 category table off the streaming path."""
-    if duration_ticks is None:
-        duration_ticks = max(sketch.t_max, 0)
-    profiles: dict[str, StreamingCategoryProfile] = {}
-    for idx in sorted(sketch.machines):
-        row = sketch.machines[idx]
-        if row["n_instances"] == 0:
-            continue
-        profile = profiles.get(row["category"])
-        if profile is None:
-            profile = profiles[row["category"]] = StreamingCategoryProfile(
-                row["category"], duration_ticks)
-        profile.n_machines += 1
-        profile.n_opens += row["n_instances"]
-        profile.n_data_opens += row["n_data"]
-        profile.bytes_read += row["bytes_read"]
-        profile.bytes_written += row["bytes_written"]
-        profile.paging_view_bytes += row["paging_view_bytes"]
-    for category, profile in profiles.items():
-        digest = sketch.category_sizes.get(category)
-        if digest is not None:
-            profile.size_digest = digest
-    return profiles
-
-
-def streaming_pattern_table(sketch: StatsSketch):
-    """Table 3 off the streaming path.
-
-    Float arithmetic deliberately mirrors
-    :func:`~repro.analysis.patterns.access_pattern_table` — same integer
-    inputs, same operations, same order — so at seed scale the two
-    tables are *equal*, not merely close.
-    """
-    from repro.analysis.patterns import (AccessPatternTable, PatternCell,
-                                         PATTERNS, USAGES)
-
-    samples: dict[tuple[str, str], tuple[list[float], list[float]]] = {
-        (u, p): ([], []) for u in USAGES for p in PATTERNS + ("usage",)}
-    n_instances = 0
-    for idx in sorted(sketch.machines):
-        row = sketch.machines[idx]
-        total_n = row["n_data"]
-        total_b = row["bytes"]
-        n_instances += total_n
-        if total_n == 0:
-            continue
-        for usage in USAGES:
-            cell = row["usage"][usage]
-            usage_n = cell["n"]
-            usage_b = cell["bytes"]
-            acc, byt = samples[(usage, "usage")]
-            acc.append(100.0 * usage_n / total_n)
-            byt.append(100.0 * usage_b / total_b if total_b else 0.0)
-            for pattern in PATTERNS:
-                pat = cell["patterns"][pattern]
-                acc, byt = samples[(usage, pattern)]
-                acc.append(100.0 * pat["n"] / usage_n if usage_n else 0.0)
-                byt.append(100.0 * pat["bytes"] / usage_b
-                           if usage_b else 0.0)
-    cells = {}
-    for key, (acc, byt) in samples.items():
-        a = np.asarray(acc) if acc else np.array([0.0])
-        b = np.asarray(byt) if byt else np.array([0.0])
-        cells[key] = PatternCell(
-            accesses_mean=float(a.mean()), accesses_min=float(a.min()),
-            accesses_max=float(a.max()),
-            bytes_mean=float(b.mean()), bytes_min=float(b.min()),
-            bytes_max=float(b.max()))
-    return AccessPatternTable(cells=cells, n_instances=n_instances)
-
+# Streaming figure series and report.
 
 def _latency_band_cdf(hist: LatencyHistogram
                       ) -> tuple[np.ndarray, np.ndarray]:
@@ -1010,10 +871,10 @@ def streaming_figure_series(sketch: StatsSketch,
         "write_runs": sketch.runs_bytes["write"].cdf_points(),
     }
     figures["fig03_file_size_by_opens"] = {
-        u: sketch.size_opens[u].cdf_points() for u in _USAGES
+        u: sketch.size_opens[u].cdf_points() for u in USAGES
         if sketch.size_opens[u].n}
     figures["fig04_file_size_by_bytes"] = {
-        u: sketch.size_bytes[u].cdf_points() for u in _USAGES
+        u: sketch.size_bytes[u].cdf_points() for u in USAGES
         if sketch.size_opens[u].n}
 
     fig5 = {"all": sketch.open_time["all"].cdf_points(
@@ -1062,8 +923,9 @@ def format_streaming_report(sketch: StatsSketch,
                             duration_ticks: Optional[int] = None) -> str:
     """The campaign report: summary, category table, table 3, latency
     bands — everything off the sketch."""
-    from repro.analysis.categories import format_category_table
-
+    if duration_ticks is None:
+        duration_ticks = max(sketch.t_max, 0)
+    rows = [sketch.machines[idx] for idx in sorted(sketch.machines)]
     lines = [
         f"Streaming study sketch: {sketch.n_machines} machines, "
         f"{sketch.n_records:,} records, {sketch.n_instances:,} instances",
@@ -1076,14 +938,17 @@ def format_streaming_report(sketch: StatsSketch,
     if created:
         lines.append(f"  new files: {created:,} created, "
                      f"{deaths:,} died in trace")
-    profiles = streaming_category_profiles(sketch, duration_ticks)
+    profiles = category_profiles(
+        rows, duration_ticks,
+        {category: (digest.quantile(0.5), digest.quantile(0.9))
+         for category, digest in sketch.category_sizes.items()})
     if profiles:
         lines.append("")
         lines.append("Per-category (streaming):")
         lines.append(format_category_table(profiles))
     lines.append("")
     lines.append("Access patterns (table 3, streaming):")
-    lines.append(streaming_pattern_table(sketch).format())
+    lines.append(pattern_table(rows).format())
     lines.append("")
     lines.append("Latency bands (figure 13, exact log2 buckets):")
     lines.append("%-14s %10s %12s %12s %12s" % (

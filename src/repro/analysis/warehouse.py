@@ -170,6 +170,15 @@ class TraceWarehouse:
             self._instances = build_instances(self)
         return self._instances
 
+    def instances_by_machine(self) -> list[list["Instance"]]:
+        """:attr:`instances` split by machine index, one list per machine
+        (empty for a machine without instances), each in the instance
+        table's per-machine (open_t, fo_id) order."""
+        groups: list[list["Instance"]] = [[] for _ in self.machine_names]
+        for inst in self.instances:
+            groups[inst.machine_idx].append(inst)
+        return groups
+
     # ------------------------------------------------------------------ #
     # Dimension helpers.
 

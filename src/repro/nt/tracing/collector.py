@@ -30,18 +30,17 @@ class TraceCollector:
     """Accumulates one machine's tracing output.
 
     Trace records arrive as columnar ``array('q')`` blocks from the
-    filter's record buffer (:mod:`repro.nt.tracing.fastbuf`).  Blocks are
-    kept staged: the store encoder packs them directly, analysis reads
-    them as one numpy record frame (:meth:`record_frame`), and
-    :attr:`records` materialises them into dataclasses only when a caller
-    asks for objects.
+    filter's record buffer (:mod:`repro.nt.tracing.fastbuf`) and stay
+    staged in :attr:`record_blocks`, the collector's one record
+    representation: the store encoder packs the blocks directly, analysis
+    reads them as one numpy record frame (:meth:`record_frame`), and
+    :attr:`records` builds dataclasses from them on each call.
     """
 
     def __init__(self, machine_name: str) -> None:
         self.machine_name = machine_name
-        self._records: list[TraceRecord] = []
-        self._blocks: list["array"] = []
-        self._n_staged = 0
+        # Staged record blocks, in record order.
+        self.record_blocks: list["array"] = []
         self.name_records: list[NameRecord] = []
         # Causal span log (repro.nt.tracing.spans); empty unless the
         # machine ran with spans enabled.
@@ -57,25 +56,14 @@ class TraceCollector:
 
     @property
     def records(self) -> list[TraceRecord]:
-        """All trace records as dataclasses, materialising staged blocks."""
-        if self._blocks:
-            self._materialise()
-        return self._records
+        """All trace records as a new list of dataclasses, record order.
 
-    def _materialise(self) -> None:
-        for block in self._blocks:
-            self._records.extend(records_from_block(block))
-        self._blocks.clear()
-        self._n_staged = 0
-
-    def record_chunks(self) -> tuple[list[TraceRecord], list["array"]]:
-        """(materialised records, staged blocks), in record order.
-
-        The store encoder uses this to pack staged blocks directly —
-        without forcing materialisation — so archiving a run never
-        allocates per-record dataclasses.
+        Built from the staged blocks on every access, so callers that
+        only count or scan records should use ``len(collector)`` or
+        :meth:`record_frame` instead.
         """
-        return self._records, self._blocks
+        return [record for block in self.record_blocks
+                for record in records_from_block(block)]
 
     def record_frame(self) -> np.ndarray:
         """Every trace record as one ``(n, 15)`` int64 frame, record order.
@@ -85,12 +73,7 @@ class TraceCollector:
         view of it; otherwise the staged blocks are concatenated.  No
         dataclass is materialised.
         """
-        chunks = [block_frame(block) for block in self._blocks]
-        if self._records:
-            chunks.insert(0, np.array(
-                [[getattr(r, f) for f in TraceRecord.__slots__]
-                 for r in self._records],
-                dtype=np.int64).reshape(-1, RECORD_FIELDS))
+        chunks = [block_frame(block) for block in self.record_blocks]
         if len(chunks) == 1:
             return chunks[0]
         if not chunks:
@@ -99,8 +82,7 @@ class TraceCollector:
 
     def receive_block(self, block: "array") -> None:
         """Accept one flushed columnar record block."""
-        self._n_staged += len(block) // RECORD_FIELDS
-        self._blocks.append(block)
+        self.record_blocks.append(block)
 
     def receive_name(self, record: NameRecord) -> None:
         """Accept a file-object name record."""
@@ -121,7 +103,8 @@ class TraceCollector:
         self.snapshots.append((volume_label, when, records))
 
     def __len__(self) -> int:
-        return len(self._records) + self._n_staged
+        return sum(len(block) for block in self.record_blocks) \
+            // RECORD_FIELDS
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<TraceCollector {self.machine_name}: {len(self)} "

@@ -9,10 +9,12 @@ to the in-process collector.
 
 Records are staged *columnar*: each record is 15 signed 64-bit fields
 appended flat into an ``array('q')`` block, so the simulator's inner loop
-allocates no per-record object.  The collector keeps blocks intact until
-analysis asks for dataclass records (lazy materialisation) or the store
-encoder packs them — on a little-endian host a block's ``tobytes()`` is
-byte-for-byte the concatenation of the store's ``<15q`` record structs.
+allocates no per-record object.  The collector keeps the blocks as its
+only record representation: the store encoder packs them — on a
+little-endian host a block's ``tobytes()`` is byte-for-byte the
+concatenation of the store's ``<15q`` record structs — and
+:func:`records_from_block` builds dataclass records when a caller asks
+for objects.
 Elsewhere the encoder falls back to per-row struct packing.
 
 The same bytes are the analysis layout: :func:`block_frame` views a block

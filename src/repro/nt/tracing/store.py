@@ -50,7 +50,13 @@ def _write_str(buf: BinaryIO, text: str) -> None:
 
 def _read_str(buf) -> str:
     (length,) = struct.unpack("<I", buf.read(4))
-    return buf.read(length).decode("utf-8")
+    raw = buf.read(length)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{buf.source}: invalid UTF-8 string in the {buf.section} "
+            f"section ({exc.reason} at byte {exc.start})") from None
 
 
 def _short_read(source, section: str, wanted: int, left: int) -> ValueError:
@@ -64,11 +70,12 @@ class _PayloadReader:
 
     A short read raises ``ValueError`` naming the source and the section
     being decoded (callers set :attr:`section` as they go), never a bare
-    ``struct.error``.
+    ``struct.error``; so does a string that is not valid UTF-8
+    (:func:`_read_str`).
     """
 
     def __init__(self, source, raw: bytes) -> None:
-        self._source = source
+        self.source = source
         self._buf = io.BytesIO(raw)
         self._size = len(raw)
         self.section = "machine name"
@@ -76,7 +83,7 @@ class _PayloadReader:
     def read(self, n: int) -> bytes:
         out = self._buf.read(n)
         if len(out) != n:
-            raise _short_read(self._source, self.section, n, len(out))
+            raise _short_read(self.source, self.section, n, len(out))
         return out
 
     def at_end(self) -> bool:
@@ -93,18 +100,10 @@ def pack_collector(collector: TraceCollector) -> bytes:
     """
     buf = io.BytesIO()
     _write_str(buf, collector.machine_name)
-    # Trace records.  Staged columnar blocks are packed directly — on
-    # little-endian hosts a straight memory copy — without materialising
-    # dataclasses; the bytes are identical to the per-record packing
-    # below.
-    records, blocks = collector.record_chunks()
+    # Trace records: the staged columnar blocks, packed directly — on
+    # little-endian hosts a straight memory copy.
     buf.write(struct.pack("<Q", len(collector)))
-    for r in records:
-        buf.write(_RECORD.pack(
-            r.kind, r.fo_id, r.pid, r.t_start, r.t_end, r.status,
-            r.irp_flags, r.offset, r.length, r.returned, r.file_size,
-            r.disposition, r.options, r.attributes, r.info))
-    for block in blocks:
+    for block in collector.record_blocks:
         buf.write(pack_block(block))
     # Name records.
     buf.write(struct.pack("<Q", len(collector.name_records)))
@@ -293,7 +292,7 @@ class _StreamReader:
     _CHUNK = 1 << 16
 
     def __init__(self, path, payload: bytes) -> None:
-        self._path = path
+        self.source = path
         self._view = memoryview(payload)
         self._pos = 0
         self._decomp = zlib.decompressobj()
@@ -310,9 +309,9 @@ class _StreamReader:
                 self._buf += self._decomp.flush()
         except zlib.error as exc:
             raise ValueError(
-                f"{self._path}: corrupt compressed payload: {exc}") from None
+                f"{self.source}: corrupt compressed payload: {exc}") from None
         if len(self._buf) < n:
-            raise _short_read(self._path, self.section, n, len(self._buf))
+            raise _short_read(self.source, self.section, n, len(self._buf))
         with memoryview(self._buf) as view:
             out = bytes(view[:n])
         del self._buf[:n]

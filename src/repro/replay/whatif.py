@@ -164,7 +164,7 @@ def _cell_report(cell: GridCell, result: ReplayResult,
         "core_match": report.all_core_match,
         "mismatched_machines": [m.name for m in report.machines
                                 if not m.core_match],
-        "replayed_records": sum(len(m.collector.records)
+        "replayed_records": sum(len(m.collector)
                                 for m in result.machines),
         "latency_bands": bands,
         "critical_path": critical_path_table(result.collectors).to_dict(),

@@ -16,6 +16,8 @@ Markers
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from repro.nt.fs.nodes import DirectoryNode, FileNode
 from repro.nt.fs.path import split_path
 from repro.nt.fs.volume import Volume
 from repro.nt.system import Machine, MachineConfig
+from repro.nt.tracing.records import TraceRecord
 
 
 @pytest.fixture
@@ -94,6 +97,14 @@ def make_file_on(machine):
 # Deep-equality helpers for studies and collectors, shared by the
 # serial-vs-parallel differential harness and the trace-store round-trip
 # tests.
+
+def stage_records(collector, records) -> None:
+    """Hand ``records`` (TraceRecord dataclasses) to ``collector`` as one
+    staged block, the way the trace filter's record buffer flushes."""
+    collector.receive_block(array("q", [
+        getattr(record, field) for record in records
+        for field in TraceRecord.__slots__]))
+
 
 def collector_state(collector) -> tuple:
     """Complete comparable state of one collector.

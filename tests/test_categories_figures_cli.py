@@ -12,6 +12,16 @@ from repro.stats.distributions import Pareto
 from repro.stats.selfsim import hurst_rescaled_range
 
 
+def _data_file_sizes(wh, category):
+    """File sizes of the data instances on ``category``'s machines, the
+    sample the category table's quantiles are taken over."""
+    machines = {idx for idx, name in enumerate(wh.machine_names)
+                if wh.machine_categories.get(name, "unknown") == category}
+    return [float(inst.file_size_max) for inst in wh.instances
+            if inst.machine_idx in machines
+            and not inst.open_failed and inst.has_data]
+
+
 class TestCategories:
     def test_profiles_cover_all_machines(self, small_study,
                                          small_warehouse):
@@ -31,13 +41,26 @@ class TestCategories:
                                small_study.duration_ticks)
         sci = profiles.get("scientific")
         walkup = profiles.get("walkup")
-        if sci is not None and walkup is not None and sci.file_sizes \
-                and walkup.file_sizes:
+        sci_sizes = _data_file_sizes(small_warehouse, "scientific")
+        walkup_sizes = _data_file_sizes(small_warehouse, "walkup")
+        if sci is not None and walkup is not None and sci_sizes \
+                and walkup_sizes:
             # §6.1: scientific machines touch far larger files.  At this
             # fixture's scale the p90 is seed-noisy (few scientific
             # sessions), so assert on the largest file touched; the
             # benchmark study asserts the p90 ordering.
-            assert max(sci.file_sizes) > np.median(walkup.file_sizes)
+            assert max(sci_sizes) > np.median(walkup_sizes)
+
+    def test_file_size_quantiles_are_exact(self, small_warehouse):
+        # The warehouse path's quantiles come from the exact sample.
+        for name, profile in by_category(small_warehouse).items():
+            sizes = _data_file_sizes(small_warehouse, name)
+            if not sizes:
+                assert np.isnan(profile.median_file_size)
+                continue
+            assert profile.median_file_size == float(np.median(sizes))
+            assert profile.p90_file_size == \
+                float(np.percentile(sizes, 90))
 
     def test_throughput_positive(self, small_study, small_warehouse):
         profiles = by_category(small_warehouse,

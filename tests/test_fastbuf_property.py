@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import struct
+import zlib
 from array import array
 
 import pytest
@@ -60,21 +61,22 @@ def _staged(rows, capacity):
     return collector, buf
 
 
-def _reference(rows) -> TraceCollector:
-    """The same stream as materialised ``TraceRecord(*row)`` dataclasses."""
-    collector = TraceCollector("m00")
-    collector.records.extend(TraceRecord(*row) for row in rows)
-    return collector
-
-
 def _struct_packed(rows) -> bytes:
     return b"".join(struct.pack("<15q", *row) for row in rows)
 
 
+def _reference_payload(rows) -> bytes:
+    """The packed payload of a collector "m00" holding only ``rows``,
+    spelled out field by field: the machine name, the record count, each
+    record's ``<15q`` struct, and zero names, processes and snapshots."""
+    return (struct.pack("<I", 3) + b"m00" + struct.pack("<Q", len(rows))
+            + _struct_packed(rows) + struct.pack("<3Q", 0, 0, 0))
+
+
 def _assert_matches_reference(collector, rows):
-    _records, blocks = collector.record_chunks()
+    blocks = collector.record_blocks
     assert b"".join(pack_block(b) for b in blocks) == _struct_packed(rows)
-    assert pack_collector(collector) == pack_collector(_reference(rows))
+    assert pack_collector(collector) == _reference_payload(rows)
     # Materialisation yields the very same dataclasses.
     assert collector.records == [TraceRecord(*row) for row in rows]
 
@@ -97,14 +99,15 @@ def test_random_streams_round_trip_identically(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_archive_round_trip_through_store(seed, tmp_path):
-    """fastbuf -> v3 store encoder -> iter_trace_records == dataclasses."""
+    """fastbuf -> store encoder -> iter_trace_records == dataclasses."""
     rng = random.Random(100 + seed)
     rows = [_random_row(rng) for _ in range(rng.randrange(1, 400))]
     collector, buf = _staged(rows, capacity=64)
     buf.drain()
     (fast_path,) = save_study([collector], tmp_path / "fast")
-    (reference_path,) = save_study([_reference(rows)], tmp_path / "ref")
-    assert fast_path.read_bytes() == reference_path.read_bytes()
+    payload = zlib.compress(_reference_payload(rows), level=6)
+    assert fast_path.read_bytes() == \
+        b"NTTRACE2" + struct.pack("<Q", len(payload)) + payload
     decoded = list(iter_trace_records(fast_path))
     assert decoded == [TraceRecord(*row) for row in rows]
 
@@ -119,8 +122,7 @@ def test_flush_boundaries_at_default_capacity(n):
     collector, buf = _staged(rows, BUFFER_CAPACITY)
     assert buf.rotations == n // BUFFER_CAPACITY
     assert buf.active_fill == n % BUFFER_CAPACITY
-    _records, blocks = collector.record_chunks()
-    assert [len(b) // RECORD_FIELDS for b in blocks] == \
+    assert [len(b) // RECORD_FIELDS for b in collector.record_blocks] == \
         [BUFFER_CAPACITY] * (n // BUFFER_CAPACITY)
     buf.drain()
     _assert_matches_reference(collector, rows)

@@ -47,6 +47,8 @@ from repro.nt.tracing.store import (
     study_paths)
 from repro.replay import ReplayConfig, replay_archive, replay_collector
 
+from tests.conftest import stage_records
+
 
 def _study_archive(tmp_path_factory, seed: int = 5):
     """A small two-machine study saved as a .nttrace archive."""
@@ -192,7 +194,7 @@ class TestUnreplayableRecords:
         # A CREATE with no name record, and a READ on a never-created file
         # object, cannot be reconstructed; both must be accounted for.
         source = TraceCollector("m00-orphans")
-        source.records.extend([
+        stage_records(source, [
             _record(TraceEventKind.IRP_CREATE, fo_id=100),
             _record(TraceEventKind.IRP_READ, fo_id=200),
         ])
@@ -227,12 +229,19 @@ class TestColumnarInjection:
                 want = (kind.name, False, major, minor, None)
             assert KIND_PLANS[int(kind)] == want, kind.name
 
-    def test_replay_leaves_source_records_staged(self, archived_study):
+    def test_replay_leaves_source_records_staged(self, archived_study,
+                                                 monkeypatch):
+        # Replay reads the source's record frame and never builds its
+        # TraceRecord list.
         _result, directory = archived_study
         source = load_collector(study_paths(directory)[0])
+
+        def no_records(_collector):
+            raise AssertionError("replay built TraceRecord objects")
+
+        monkeypatch.setattr(TraceCollector, "records", property(no_records))
         machine = replay_collector(source)
-        materialised, blocks = source.record_chunks()
-        assert materialised == [] and blocks
+        assert len(source)
         assert machine.outcome.source_records == len(source)
 
 
@@ -243,7 +252,7 @@ class TestOutOfRangeKinds:
     @pytest.fixture(params=[-1, N_EVENT_KINDS], ids=["minus1", "n_kinds"])
     def bad_archive(self, request, tmp_path):
         source = TraceCollector("m00-badkind")
-        source.records.extend([
+        stage_records(source, [
             _record(TraceEventKind.IRP_CREATE, fo_id=100),
             _record(TraceEventKind.IRP_READ, fo_id=100),
             _record(request.param, fo_id=100),

@@ -12,12 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
-import pytest
-
 from repro import StudyConfig, run_study
-from repro.analysis.streaming import StatsSketch, fold_collector
-from repro.nt.tracing.collector import TraceCollector
-from repro.nt.tracing.fastbuf import FastRecordBuffer
 from repro.nt.tracing.store import (load_collector, load_study,
                                     pack_collector, save_collector,
                                     save_study, unpack_collector)
@@ -85,62 +80,3 @@ class TestPeriodicSnapshotRoundTrip:
         parallel = run_study(dataclasses.replace(config, workers=2))
         for cs, cp in zip(serial.collectors, parallel.collectors):
             assert pack_collector(cs) == pack_collector(cp)
-
-
-def _restaged(source, materialise_after=None, capacity=500):
-    """``source``'s records re-staged as ``capacity``-record blocks.
-
-    With ``materialise_after``, ``.records`` is read once that many rows
-    have been staged, so the copy holds materialised records followed by
-    blocks received after the read.
-    """
-    rows = [dataclasses.astuple(r) for r in source.records]
-    copy = TraceCollector(source.machine_name)
-    copy.name_records = list(source.name_records)
-    copy.process_names = dict(source.process_names)
-    copy.process_interactive = dict(source.process_interactive)
-    split = len(rows) if materialise_after is None else materialise_after
-    buf = FastRecordBuffer(copy.receive_block, capacity=capacity)
-    for row in rows[:split]:
-        buf.append_row(row)
-    if materialise_after is not None:
-        buf.drain()
-        assert len(copy.records) == split
-    for row in rows[split:]:
-        buf.append_row(row)
-    buf.drain()
-    return copy, rows
-
-
-class TestMixedCollectors:
-    """Materialised records followed by staged blocks, as when
-    ``.records`` is read while a machine is still tracing."""
-
-    @pytest.fixture
-    def mixed(self, small_study):
-        source = small_study.collectors[0]
-        mixed, rows = _restaged(source, materialise_after=len(source) // 3)
-        records, blocks = mixed.record_chunks()
-        assert records and blocks
-        return source, mixed, rows
-
-    def test_record_frame_in_record_order(self, mixed):
-        _source, collector, rows = mixed
-        assert [tuple(r) for r in collector.record_frame().tolist()] == rows
-
-    def test_fold_equals_blocks_only_fold(self, mixed):
-        source, collector, _rows = mixed
-        blocks_only, _ = _restaged(source)
-        assert not blocks_only.record_chunks()[0]
-        sketches = []
-        for c in (collector, blocks_only):
-            sketch = StatsSketch()
-            fold_collector(sketch, 0, "walkup", c)
-            sketches.append(sketch.sha256())
-        assert sketches[0] == sketches[1]
-
-    def test_pack_round_trip(self, mixed):
-        _source, collector, _rows = mixed
-        restored = unpack_collector(pack_collector(collector))
-        assert len(restored) == len(collector)
-        assert restored.records == collector.records

@@ -20,13 +20,13 @@ from repro.nt.tracing.records import NameRecord, TraceRecord
 from repro.nt.tracing.snapshot import SnapshotRecord
 from repro.nt.tracing.spans import SPAN_RECORDED, SpanRecord
 from repro.nt.tracing.store import (STORE_FORMAT_VERSION,
-                                    SUPPORTED_FORMAT_VERSIONS,
+                                    SUPPORTED_FORMAT_VERSIONS, StoreStream,
                                     iter_trace_records, load_collector,
                                     load_study, pack_collector,
                                     read_store_header, save_collector,
                                     study_paths)
 
-from tests.conftest import collector_state
+from tests.conftest import collector_state, stage_records
 
 
 def _collector(n_records: int = 5) -> TraceCollector:
@@ -35,7 +35,7 @@ def _collector(n_records: int = 5) -> TraceCollector:
     collector.receive_name(NameRecord(
         fo_id=1, path="\\docs\\report.doc", volume_label="m00-C",
         volume_is_remote=False, pid=8, t=0))
-    collector.records.extend([
+    stage_records(collector, [
         TraceRecord(kind=3, fo_id=1, pid=8, t_start=i * 100,
                     t_end=i * 100 + 50, status=0, irp_flags=0,
                     offset=i * 4096, length=4096, returned=4096,
@@ -194,7 +194,7 @@ def _section_ranges(collector: TraceCollector) -> dict[str, tuple[int, int]]:
     ends = []
     for section, trailing in zip(_SECTIONS, (24, 16, 8, 0, 0)):
         if section == "records":
-            partial.records.extend(collector.records)
+            partial.record_blocks = list(collector.record_blocks)
         elif section == "names":
             partial.name_records = list(collector.name_records)
         elif section == "processes":
@@ -248,6 +248,41 @@ class TestTruncatedSections:
                          + payload)
         with pytest.raises(ValueError, match="spans section"):
             load_collector(path)
+
+
+class TestInvalidUtf8:
+    """A string that is not valid UTF-8 — one byte flipped to 0xFF, which
+    never occurs in UTF-8 — must fail with a ``ValueError`` naming the
+    file and the section, from the collector loader and the streaming
+    reader alike."""
+
+    # The first string of each section in the every-section collector.
+    _FIRST_STRING = {"machine name": b"m00-versioned",
+                     "names": b"\\docs\\report.doc",
+                     "processes": b"winword.exe",
+                     "snapshots": b"m00-C"}
+
+    @pytest.mark.parametrize("section", sorted(_FIRST_STRING))
+    def test_invalid_utf8_names_file_and_section(self, tmp_path, section):
+        collector = TestTruncatedSections._every_section_collector()
+        packed = bytearray(pack_collector(collector))
+        start, _end = _section_ranges(collector).get(section, (0, 0))
+        at = packed.index(self._FIRST_STRING[section], start)
+        packed[at] = 0xFF
+        payload = zlib.compress(bytes(packed), level=6)
+        path = tmp_path / f"bad-utf8-in-{section.replace(' ', '-')}.nttrace"
+        path.write_bytes(b"NTTRACE3" + struct.pack("<Q", len(payload))
+                         + payload)
+        match = f"invalid UTF-8 string in the {section} section"
+        with pytest.raises(ValueError, match=match) as excinfo:
+            load_collector(path)
+        assert str(path) in str(excinfo.value)
+        if section in ("machine name", "names", "processes"):
+            with pytest.raises(ValueError, match=match) as excinfo:
+                stream = StoreStream(path)
+                stream.record_frame()
+                stream.tail_sections()
+            assert str(path) in str(excinfo.value)
 
 
 def _raises_message(path) -> str:

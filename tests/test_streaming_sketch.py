@@ -17,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.patterns import access_pattern_table
-from repro.analysis.categories import by_category
+from repro.analysis.categories import by_category, category_profiles
 from repro.analysis.figures import figure_series
+from repro.analysis.patterns import access_pattern_table, pattern_table
 from repro.analysis.streaming import (
     Digest,
     StatsSketch,
@@ -32,9 +32,7 @@ from repro.analysis.streaming import (
     sketch_from_archive,
     sketch_from_study,
     sketch_from_warehouse,
-    streaming_category_profiles,
     streaming_figure_series,
-    streaming_pattern_table,
 )
 from repro.nt.tracing.records import TraceEventKind
 from repro.nt.tracing.store import StoreStream, iter_trace_records, save_study
@@ -232,17 +230,27 @@ class TestThreeWayIdentity:
 # --------------------------------------------------------------------- #
 # Streaming tables reconcile with the materialized analyses.
 
+def _rows(sketch):
+    return [sketch.machines[idx] for idx in sorted(sketch.machines)]
+
+
 class TestStreamingTables:
     def test_pattern_table_exactly_equal(self, study_sketch,
                                          small_warehouse):
-        streaming = streaming_pattern_table(study_sketch)
+        # The sketch's rows (folded from live collectors) render the
+        # same table as the warehouse's instance groups.
+        streaming = pattern_table(_rows(study_sketch))
         materialized = access_pattern_table(small_warehouse)
         assert streaming.n_instances == materialized.n_instances
         assert streaming.cells == materialized.cells  # float-for-float
 
     def test_category_profiles_match_counts(self, study_sketch,
                                             small_warehouse):
-        streaming = streaming_category_profiles(study_sketch)
+        quantiles = {category: (digest.quantile(0.5), digest.quantile(0.9))
+                     for category, digest
+                     in study_sketch.category_sizes.items()}
+        streaming = category_profiles(_rows(study_sketch),
+                                      max(study_sketch.t_max, 0), quantiles)
         materialized = by_category(small_warehouse)
         assert set(streaming) == set(materialized)
         for name, profile in streaming.items():

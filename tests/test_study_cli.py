@@ -157,6 +157,27 @@ class TestStudyCli:
         captured = capsys.readouterr()
         assert "matches the materialized warehouse exactly" in captured.out
 
+    def test_report_streaming_prints_same_table3(self, tmp_path, capsys):
+        def table3(out: str) -> list[str]:
+            # The header line and the 3 usages x (share + 3 patterns).
+            lines = out.splitlines()
+            start = next(i for i, line in enumerate(lines)
+                         if line.startswith("File usage"))
+            return lines[start:start + 13]
+
+        rc = cli_main(["run", "--machines", "2", "--seconds", "20",
+                       "--seed", "5", "--scale", "0.05",
+                       "--out", str(tmp_path / "traces")])
+        assert rc == 0
+        capsys.readouterr()
+        assert cli_main(["report", str(tmp_path / "traces")]) == 0
+        materialized = table3(capsys.readouterr().out)
+        assert cli_main(["report", "--streaming",
+                         str(tmp_path / "traces")]) == 0
+        streaming = table3(capsys.readouterr().out)
+        assert len(materialized) == 13
+        assert streaming == materialized
+
     def test_figures_streaming(self, tmp_path, capsys):
         cli_main(["run", "--machines", "2", "--seconds", "10",
                   "--seed", "5", "--scale", "0.05",
