@@ -5,8 +5,8 @@ record) and an *instance* fact table (one row per file-object open-close
 session with per-session summaries), with dimension tables for files,
 processes and machines.  The per-section analyses consume these tables:
 
-* :mod:`repro.analysis.sessions` — instance construction with §3.3's
-  paging-duplicate filtering.
+* :mod:`repro.analysis.sessions` — the columnar instance table, built
+  with §3.3's paging-duplicate filtering, and its row views.
 * :mod:`repro.analysis.patterns` — §6.2's access patterns (table 3,
   figures 1–4).
 * :mod:`repro.analysis.activity` — §6.1's user activity (table 2).
@@ -29,7 +29,7 @@ processes and machines.  The per-section analyses consume these tables:
 """
 
 from repro.analysis.warehouse import TraceWarehouse
-from repro.analysis.sessions import Instance, build_instances
+from repro.analysis.sessions import Instance, InstanceTable, frame_instances
 from repro.analysis.patterns import (
     AccessPatternTable,
     access_pattern_table,
@@ -96,7 +96,8 @@ from repro.analysis.streaming import (
 __all__ = [
     "TraceWarehouse",
     "Instance",
-    "build_instances",
+    "InstanceTable",
+    "frame_instances",
     "AccessPatternTable",
     "access_pattern_table",
     "run_length_distributions",

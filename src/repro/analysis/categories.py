@@ -83,10 +83,11 @@ def category_profiles(rows: Iterable[dict], span_ticks: int,
     return profiles
 
 
-def _exact_quantiles(sizes: list[float]) -> tuple[float, float]:
-    if not sizes:
+def _exact_quantiles(sizes: list[np.ndarray]) -> tuple[float, float]:
+    sample = np.concatenate(sizes).astype(float)
+    if not sample.size:
         return float("nan"), float("nan")
-    return float(np.median(sizes)), float(np.percentile(sizes, 90))
+    return float(np.median(sample)), float(np.percentile(sample, 90))
 
 
 def by_category(wh: "TraceWarehouse",
@@ -96,14 +97,13 @@ def by_category(wh: "TraceWarehouse",
     if duration_ticks is None:
         duration_ticks = int(wh.t_end.max()) if wh.n_records else 0
     rows: list[dict] = []
-    sizes: dict[str, list[float]] = {}
-    for idx, group in enumerate(wh.instances_by_machine()):
-        category = wh.machine_categories.get(wh.machine_names[idx],
-                                             "unknown")
-        rows.append(dict(machine_row(group), category=category))
-        sizes.setdefault(category, []).extend(
-            float(inst.file_size_max) for inst in group
-            if not inst.open_failed and inst.has_data)
+    sizes: dict[str, list[np.ndarray]] = {}
+    for name, machine in zip(wh.machine_names, wh.instance_table.by_machine(
+            len(wh.machine_names))):
+        category = wh.machine_categories.get(name, "unknown")
+        rows.append(dict(machine_row(machine), category=category))
+        sizes.setdefault(category, []).append(machine.file_size_max[
+            ~machine.open_failed & machine.has_data])
     return category_profiles(
         rows, duration_ticks,
         {category: _exact_quantiles(sample)

@@ -10,11 +10,13 @@ numbers cannot diverge.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
+from repro.common.atomic import write_atomic
 from repro.common.clock import TICKS_PER_MILLISECOND
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -123,19 +125,20 @@ def write_csv(figures: dict[str, dict[str, tuple]],
     paths = []
     for figure, series in figures.items():
         path = directory / f"{figure}.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = []
-            columns = []
-            for name, (x, y) in series.items():
-                header.extend([f"{name}_x", f"{name}_y"])
-                columns.append(np.asarray(x, dtype=float))
-                columns.append(np.asarray(y, dtype=float))
-            writer.writerow(header)
-            length = max((c.size for c in columns), default=0)
-            for i in range(length):
-                writer.writerow(
-                    ["" if i >= c.size else repr(float(c[i]))
-                     for c in columns])
+        text = io.StringIO(newline="")
+        writer = csv.writer(text)
+        header = []
+        columns = []
+        for name, (x, y) in series.items():
+            header.extend([f"{name}_x", f"{name}_y"])
+            columns.append(np.asarray(x, dtype=float))
+            columns.append(np.asarray(y, dtype=float))
+        writer.writerow(header)
+        length = max((c.size for c in columns), default=0)
+        for i in range(length):
+            writer.writerow(
+                ["" if i >= c.size else repr(float(c[i]))
+                 for c in columns])
+        write_atomic(path, text.getvalue().encode("utf-8"))
         paths.append(path)
     return paths

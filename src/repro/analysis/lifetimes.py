@@ -20,7 +20,7 @@ from repro.common.clock import TICKS_PER_SECOND
 from repro.stats.descriptive import cdf_points
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.sessions import Instance
+    from repro.analysis.sessions import InstanceTable
     from repro.analysis.warehouse import TraceWarehouse
 
 
@@ -127,125 +127,114 @@ class LifetimeAnalysis:
         return float(rho)
 
 
-def _sessions_by_path(instances: list["Instance"]
-                      ) -> dict[tuple[int, str, str], list["Instance"]]:
-    by_path: dict[tuple[int, str, str], list["Instance"]] = {}
-    for inst in instances:
-        if inst.open_failed or not inst.path:
-            continue
-        key = (inst.machine_idx, inst.volume_label, inst.path.lower())
-        by_path.setdefault(key, []).append(inst)
-    for sessions in by_path.values():
-        sessions.sort(key=lambda s: s.open_t)
-    return by_path
+METHODS = ("overwrite", "explicit", "temporary")
+_OVERWRITE, _EXPLICIT, _TEMPORARY = range(3)
 
 
 @dataclass(frozen=True)
-class Death:
-    """One matched file death (§6.3)."""
+class Deaths:
+    """Matched file deaths (§6.3), one entry per death, in walk order."""
 
-    method: str           # 'overwrite' | 'explicit' | 'temporary'
-    lifetime: int         # ticks, creation to death
-    size: int             # file size at death (figure 7's x axis)
-    close_gap: int        # close-to-death gap, or -1 for temporary files
-    same_process: bool    # killer pid == creator pid
-    intervening_opens: int
+    method: np.ndarray            # index into METHODS
+    lifetime: np.ndarray          # ticks, creation to death
+    size: np.ndarray              # file size at death (figure 7's x axis)
+    close_gap: np.ndarray         # close-to-death gap, -1 for temporary files
+    same_process: np.ndarray      # killer pid == creator pid
+    intervening_opens: np.ndarray
 
 
-def death_events(instances: list["Instance"]
-                 ) -> tuple[int, list[Death]]:
+def death_events(table: "InstanceTable") -> tuple[int, Deaths]:
     """Match created files to their deaths; ``(n_created, deaths)``.
 
     The single source of truth for the §6.3 death-matching walk, shared
     by :func:`analyze_lifetimes` (whole warehouse) and the streaming fold
     (:mod:`repro.analysis.streaming`, one machine at a time — the key is
     machine-scoped, so partitioning by machine changes nothing).
+
+    The successful opens of each (machine, volume, path) are a group, in
+    table order; groups come in order of first appearance.  A created
+    file dies at its own cleanup when temporary, at its own explicit
+    delete, or else at the next later session of its group that
+    overwrites or explicitly deletes it; the sessions in between are the
+    intervening opens, and the last of them with a positive size gives
+    the size at death.
     """
-    n_created = 0
-    deaths: list[Death] = []
-    by_path = _sessions_by_path(instances)
-    for _key, sessions in by_path.items():
-        for idx, inst in enumerate(sessions):
-            if not inst.was_created:
-                continue
-            n_created += 1
-            created_t = inst.open_t
-            closed_t = inst.session_end_t
-            last_size = inst.file_size_max
+    rows = np.flatnonzero(~table.open_failed & (table.path_key >= 0))
+    machine = table.machine_idx[rows]
+    key = table.path_key[rows]
+    by_group = np.lexsort((rows, key, machine))
+    rows, machine, key = rows[by_group], machine[by_group], key[by_group]
+    new_group = np.ones(len(rows), dtype=bool)
+    new_group[1:] = (machine[1:] != machine[:-1]) | (key[1:] != key[:-1])
+    group = np.cumsum(new_group) - 1
+    # Renumber the groups by first appearance, then walk them in turn.
+    first_seen = np.empty(int(new_group.sum()), dtype=np.int64)
+    first_seen[np.argsort(rows[new_group])] = np.arange(len(first_seen))
+    group = first_seen[group]
+    walk = np.argsort(group, kind="stable")
+    rows, group = rows[walk], group[walk]
 
-            # Temporary files die at their creating session's cleanup.
-            if inst.temporary and inst.explicit_delete_t < 0:
-                lifetime = max(0, closed_t - created_t)
-                deaths.append(Death(
-                    method="temporary", lifetime=lifetime,
-                    size=last_size, close_gap=-1, same_process=True,
-                    intervening_opens=0))
-                continue
+    created = table.was_created[rows]
+    open_t = table.open_t[rows]
+    end_t = table.session_end_t[rows]
+    delete_t = table.explicit_delete_t[rows]
+    size = table.file_size_max[rows]
+    temporary = created & table.temporary[rows] & (delete_t < 0)
+    own_delete = created & (delete_t >= 0)
+    # The next later session of the same group that kills the file.
+    n = len(rows)
+    position = np.arange(n)
+    kills = table.was_overwrite[rows] | (delete_t >= 0)
+    next_kill = np.full(n + 1, n, dtype=np.int64)
+    next_kill[:n] = np.minimum.accumulate(
+        np.where(kills, position, n)[::-1])[::-1]
+    killer = next_kill[1:]
+    at = np.minimum(killer, n - 1)
+    walked = created & ~temporary & ~own_delete & (killer < n) \
+        & (group[at] == group)
+    killer_overwrites = table.was_overwrite[rows][at]
+    death_t = np.where(own_delete, delete_t, np.where(
+        killer_overwrites, open_t[at], delete_t[at]))
+    # Size at death: the last positive size among the intervening opens.
+    last_sized = np.maximum.accumulate(np.where(size > 0, position, -1))
+    sized = last_sized[np.maximum(at - 1, 0)]
+    walk_size = np.where(walked & (sized > position), size[sized], size)
 
-            # Walk forward for the first killing event.
-            death: Optional[tuple[str, int, "Instance"]] = None
-            intervening_opens = 0
-            if inst.explicit_delete_t >= 0:
-                death = ("explicit", inst.explicit_delete_t, inst)
-            else:
-                for later in sessions[idx + 1:]:
-                    if later.was_overwrite:
-                        death = ("overwrite", later.open_t, later)
-                        break
-                    if later.explicit_delete_t >= 0:
-                        death = ("explicit", later.explicit_delete_t, later)
-                        break
-                    intervening_opens += 1
-                    if later.file_size_max > 0:
-                        last_size = later.file_size_max
-            if death is None:
-                continue
-            method, death_t, killer = death
-            deaths.append(Death(
-                method=method, lifetime=max(0, death_t - created_t),
-                size=last_size, close_gap=max(0, death_t - closed_t),
-                same_process=killer.pid == inst.pid,
-                intervening_opens=intervening_opens))
-    return n_created, deaths
+    dead = temporary | own_delete | walked
+    method = np.where(temporary, _TEMPORARY, np.where(
+        own_delete | ~killer_overwrites, _EXPLICIT, _OVERWRITE))
+    lifetime = np.maximum(np.where(temporary, end_t, death_t) - open_t, 0)
+    return int(created.sum()), Deaths(
+        method=method[dead],
+        lifetime=lifetime[dead],
+        size=walk_size[dead],
+        close_gap=np.where(temporary, -1,
+                           np.maximum(death_t - end_t, 0))[dead],
+        same_process=(~walked | (table.pid[rows][at]
+                                 == table.pid[rows]))[dead],
+        intervening_opens=np.where(walked, killer - position - 1, 0)[dead])
 
 
 def analyze_lifetimes(wh: "TraceWarehouse") -> LifetimeAnalysis:
     """Match created files to their deaths and measure lifetimes."""
     result = LifetimeAnalysis()
-    overwrite_lt: list[int] = []
-    delete_lt: list[int] = []
-    temp_lt: list[int] = []
-    ow_gaps: list[int] = []
-    del_gaps: list[int] = []
-    sizes: list[float] = []
-    size_lts: list[int] = []
-
-    result.n_created, deaths = death_events(wh.instances)
-    for d in deaths:
-        sizes.append(float(d.size))
-        size_lts.append(d.lifetime)
-        if d.method == "temporary":
-            temp_lt.append(d.lifetime)
-        elif d.method == "overwrite":
-            overwrite_lt.append(d.lifetime)
-            ow_gaps.append(d.close_gap)
-            result.overwrite_total_matched += 1
-            if d.same_process:
-                result.overwrite_same_process += 1
-        else:
-            delete_lt.append(d.lifetime)
-            del_gaps.append(d.close_gap)
-            result.delete_total_matched += 1
-            if d.same_process:
-                result.delete_same_process += 1
-            if d.intervening_opens > 0:
-                result.delete_with_intervening_opens += 1
-
-    result.overwrite_lifetimes = np.asarray(overwrite_lt, dtype=float)
-    result.delete_lifetimes = np.asarray(delete_lt, dtype=float)
-    result.temporary_lifetimes = np.asarray(temp_lt, dtype=float)
-    result.close_to_overwrite_gaps = np.asarray(ow_gaps, dtype=float)
-    result.close_to_delete_gaps = np.asarray(del_gaps, dtype=float)
-    result.death_sizes = np.asarray(sizes, dtype=float)
-    result.death_lifetimes = np.asarray(size_lts, dtype=float)
+    result.n_created, deaths = death_events(wh.instance_table)
+    overwrite = deaths.method == _OVERWRITE
+    explicit = deaths.method == _EXPLICIT
+    lifetime = deaths.lifetime.astype(float)
+    gap = deaths.close_gap.astype(float)
+    result.overwrite_lifetimes = lifetime[overwrite]
+    result.delete_lifetimes = lifetime[explicit]
+    result.temporary_lifetimes = lifetime[deaths.method == _TEMPORARY]
+    result.close_to_overwrite_gaps = gap[overwrite]
+    result.close_to_delete_gaps = gap[explicit]
+    result.death_sizes = deaths.size.astype(float)
+    result.death_lifetimes = lifetime
+    result.overwrite_total_matched = int(overwrite.sum())
+    result.overwrite_same_process = int((overwrite
+                                         & deaths.same_process).sum())
+    result.delete_total_matched = int(explicit.sum())
+    result.delete_same_process = int((explicit & deaths.same_process).sum())
+    result.delete_with_intervening_opens = int(
+        (explicit & (deaths.intervening_opens > 0)).sum())
     return result

@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from typing import Mapping
 
+from repro.common.atomic import write_atomic
 from repro.common.clock import TICKS_PER_SECOND
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -113,8 +114,7 @@ def write_openmetrics(snapshots: Mapping[str, Mapping], path) -> int:
     """Write the exposition to ``path``; returns the byte count."""
     text = openmetrics_exposition(snapshots)
     data = text.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(data)
+    write_atomic(path, data)
     return len(data)
 
 

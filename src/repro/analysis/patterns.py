@@ -14,14 +14,16 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from repro.analysis.sessions import PATTERN_NAMES, USAGE_NAMES
 from repro.stats.descriptive import cdf_points, weighted_cdf_points
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.sessions import Instance
+    from repro.analysis.sessions import Instance, InstanceTable
     from repro.analysis.warehouse import TraceWarehouse
 
-USAGES = ("read-only", "write-only", "read-write")
-PATTERNS = ("whole", "sequential", "random")
+# The instance table's usage and pattern codes 1.. in name order.
+USAGES = USAGE_NAMES[1:]        # read-only, write-only, read-write
+PATTERNS = PATTERN_NAMES[1:]    # whole, sequential, random
 
 # The Sprite values from table 3 (S columns), for comparison printing.
 SPRITE_TABLE3 = {
@@ -108,46 +110,38 @@ def _data_instances(wh: "TraceWarehouse") -> list["Instance"]:
             if not s.open_failed and s.has_data and s.usage != "none"]
 
 
-def machine_row(instances: Iterable["Instance"]) -> dict:
-    """One machine's counts from its instance list: the input of table 3
+def machine_row(table: "InstanceTable") -> dict:
+    """One machine's counts from its instance table: the input of table 3
     and of the usage-category table.
 
     Plain integers: instance, failed-open and data-instance counts, byte
     sums, mapped-view paging bytes, and an instance count and byte sum
     per usage × pattern cell.  The streaming sketch stores this as its
-    per-machine row; the warehouse builds it per machine group of its
+    per-machine row; the warehouse builds it per machine slice of its
     instance table.  Both paths render the tables from it.
     """
-    n_instances = n_failed = n_data = 0
-    total = read = written = paging = 0
-    usage_cells = {u: {"n": 0, "bytes": 0,
-                       "patterns": {p: {"n": 0, "bytes": 0}
-                                    for p in PATTERNS}}
-                   for u in USAGES}
-    for inst in instances:
-        n_instances += 1
-        if inst.open_failed:
-            n_failed += 1
-            continue
-        if not inst.has_data:
-            continue
-        # has_data implies usage != 'none': a data instance.
-        transferred = inst.bytes_transferred
-        cell = usage_cells[inst.usage]
-        cell["n"] += 1
-        cell["bytes"] += transferred
-        pattern = cell["patterns"][inst.access_pattern()]
-        pattern["n"] += 1
-        pattern["bytes"] += transferred
-        n_data += 1
-        total += transferred
-        read += inst.bytes_read
-        written += inst.bytes_written
-        if inst.image_access:
-            paging += inst.bytes_read
-    return {"n_instances": n_instances, "n_failed_opens": n_failed,
-            "n_data": n_data, "bytes": total, "bytes_read": read,
-            "bytes_written": written, "paging_view_bytes": paging,
+    failed = table.open_failed
+    # has_data implies a usage and a pattern other than 'none'.
+    data = ~failed & table.has_data
+    transferred = table.bytes_transferred
+    usage_cells = {}
+    for code, usage in enumerate(USAGES, start=1):
+        in_usage = data & (table.usage == code)
+        patterns = {}
+        for pcode, pattern in enumerate(PATTERNS, start=1):
+            cell = in_usage & (table.pattern == pcode)
+            patterns[pattern] = {"n": int(cell.sum()),
+                                 "bytes": int(transferred[cell].sum())}
+        usage_cells[usage] = {"n": int(in_usage.sum()),
+                              "bytes": int(transferred[in_usage].sum()),
+                              "patterns": patterns}
+    return {"n_instances": len(table), "n_failed_opens": int(failed.sum()),
+            "n_data": int(data.sum()),
+            "bytes": int(transferred[data].sum()),
+            "bytes_read": int(table.bytes_read[data].sum()),
+            "bytes_written": int(table.bytes_written[data].sum()),
+            "paging_view_bytes": int(
+                table.bytes_read[data & table.image_access].sum()),
             "usage": usage_cells}
 
 
@@ -193,8 +187,8 @@ def pattern_table(rows: Iterable[dict]) -> AccessPatternTable:
 
 def access_pattern_table(wh: "TraceWarehouse") -> AccessPatternTable:
     """Compute table 3 from the instance table."""
-    return pattern_table(machine_row(group)
-                         for group in wh.instances_by_machine())
+    return pattern_table(machine_row(machine) for machine in
+                         wh.instance_table.by_machine(len(wh.machine_names)))
 
 
 @dataclass

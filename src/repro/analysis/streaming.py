@@ -10,13 +10,14 @@ quantile digest for the figure 13/14 bands) produced by one-pass folds
 (:func:`fold_frame`) over each machine's ``(n, 15)`` int64 record frame —
 from a live collector or drained from a
 :class:`~repro.nt.tracing.store.StoreStream` — with numpy integer
-arithmetic for the record-level statistics.
+arithmetic for the record-level statistics and the machine's columnar
+instance table for the instance-level ones.
 
 Three properties carry the design:
 
 * **Bounded memory.**  A fold holds one machine's record section at a
-  time (120 bytes per record, plus that machine's instances while they
-  are folded); after :func:`fold_frame` returns only the sketch's
+  time (120 bytes per record, plus that machine's instance table while
+  it is folded); after :func:`fold_frame` returns only the sketch's
   fixed-size digests and one small integer row per machine remain.  Peak
   memory is flat in machine count.
 * **Order-independent, byte-identical merges.**  Every fleet-level
@@ -27,10 +28,13 @@ Three properties carry the design:
   bytes.  (No floats are accumulated: floats appear only at render
   time, computed from the same integers in the same order.)
 * **Exact reconciliation.**  The instance semantics come from the same
-  :func:`~repro.analysis.sessions.build_instance` /
-  :func:`~repro.analysis.lifetimes.death_events` code the warehouse
-  uses, so :func:`sketch_from_warehouse` over the materialized path
-  reproduces the streaming sketch *bit for bit* at seed scale —
+  instance table the warehouse uses: :func:`fold_frame` and
+  :func:`sketch_from_warehouse` fold per-machine
+  :class:`~repro.analysis.sessions.InstanceTable` slices (segment-reduced
+  columns, the data-op CSR and its sequential runs) through the same
+  :func:`~repro.analysis.patterns.machine_row` and
+  :func:`~repro.analysis.lifetimes.death_events`, so the materialized
+  path reproduces the streaming sketch *bit for bit* at seed scale —
   :func:`reconcile_sketch` asserts it.
 """
 
@@ -44,6 +48,7 @@ import numpy as np
 
 from repro.analysis.categories import (category_profiles,
                                       format_category_table)
+from repro.analysis.lifetimes import METHODS, death_events
 from repro.analysis.patterns import USAGES, machine_row, pattern_table
 from repro.common.clock import (
     TICKS_PER_MICROSECOND,
@@ -56,13 +61,13 @@ from repro.nt.perf import (
     LatencyHistogram,
     N_BUCKETS,
 )
-from repro.nt.tracing.records import TraceEventKind, extension_of
+from repro.nt.tracing.records import TraceEventKind
 from repro.nt.tracing.store import StoreStream, study_paths
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
 
-    from repro.analysis.sessions import Instance
+    from repro.analysis.sessions import InstanceTable
     from repro.analysis.warehouse import TraceWarehouse
     from repro.nt.tracing.collector import TraceCollector
     from repro.workload.study import StudyResult
@@ -81,7 +86,6 @@ _READ_KINDS = frozenset((int(TraceEventKind.IRP_READ),
                          int(TraceEventKind.FASTIO_READ)))
 _KIND_CREATE = int(TraceEventKind.IRP_CREATE)
 
-_METHODS = ("overwrite", "explicit", "temporary")
 
 # Figure 7's scatter keeps a deterministic sample: the K smallest
 # (lifetime, size) pairs.  Keep-smallest-K over multisets is associative
@@ -169,16 +173,26 @@ class Digest:
         if value > self.vmax:
             self.vmax = value
 
-    def add_array(self, values: np.ndarray) -> None:
-        """:meth:`add` with weight 1 for every value of an int64 array."""
+    def add_array(self, values: np.ndarray,
+                  weights: Optional[np.ndarray] = None) -> None:
+        """:meth:`add` for every value of an int64 array, with weight 1
+        or the matching entry of the int64 array ``weights``."""
+        values = np.maximum(np.asarray(values, dtype=np.int64), 0)
+        weights = (np.ones(len(values), dtype=np.int64) if weights is None
+                   else np.asarray(weights, dtype=np.int64))
+        carried = weights > 0
+        values, weights = values[carried], weights[carried]
         if not len(values):
             return
-        values = np.maximum(values, 0)
-        idx, counts = np.unique(digest_buckets(values), return_counts=True)
-        for i, w in zip(idx.tolist(), counts.tolist()):
+        buckets = digest_buckets(values)
+        order = np.argsort(buckets, kind="stable")
+        buckets = buckets[order]
+        starts = np.flatnonzero(np.diff(buckets, prepend=-1))
+        masses = _exact_sums(weights[order], starts)
+        for i, w in zip(buckets[starts].tolist(), masses):
             self.buckets[i] = self.buckets.get(i, 0) + w
         self.n += len(values)
-        self.weight += len(values)
+        self.weight += sum(masses)
         lo = int(values.min())
         if self.vmin < 0 or lo < self.vmin:
             self.vmin = lo
@@ -285,6 +299,14 @@ def _exact_sum(values: np.ndarray) -> int:
             + int((values & 0xFFFFFFFF).sum()))
 
 
+def _exact_sums(values: np.ndarray, starts: np.ndarray) -> list[int]:
+    """:func:`_exact_sum` of each segment of ``values`` beginning at an
+    index of ``starts``."""
+    high = np.add.reduceat(values >> 32, starts).tolist()
+    low = np.add.reduceat(values & 0xFFFFFFFF, starts).tolist()
+    return [(h << 32) + lo for h, lo in zip(high, low)]
+
+
 def _hist_observe(h: LatencyHistogram, ticks: np.ndarray) -> None:
     """``h.observe(t)`` for every ``t`` of an int64 array: searchsorted
     ``side="left"`` is ``observe``'s ``bisect_left``."""
@@ -345,7 +367,7 @@ class StatsSketch:
         self.size_bytes = {u: Digest() for u in USAGES}
         self.open_time = {"all": Digest(), "local": Digest(),
                           "network": Digest()}
-        self.lifetime = {m: Digest() for m in _METHODS}
+        self.lifetime = {m: Digest() for m in METHODS}
         self.close_gap = {"overwrite": Digest(), "explicit": Digest()}
         self.death_size = Digest()
         self.death_lifetime = Digest()
@@ -400,80 +422,64 @@ class StatsSketch:
             self.bursts[b] = self.bursts.get(b, 0) + n
 
     def _fold_instances(self, machine_idx: int, name: str, category: str,
-                        n_records: int,
-                        instances: list["Instance"]) -> None:
-        """Fold one machine's finished instance list into the sketch.
+                        n_records: int, table: "InstanceTable") -> None:
+        """Fold one machine's instance table into the sketch.
 
-        ``instances`` must be in (open_t, fo_id) order — the per-machine
-        order the warehouse's instance table uses — so both paths walk
-        identical sequences.
+        Every digest update is a commutative integer sum, so the table's
+        row order does not matter; the death walk follows the table's
+        (open_t, fo_id) order, the order both paths build.
         """
-        from repro.analysis.lifetimes import death_events
-
         if machine_idx in self.machines:
             raise ValueError(
                 f"machine index {machine_idx} folded twice "
                 f"(shards must be disjoint)")
-        row = machine_row(instances)
+        row = machine_row(table)
         row.update(name=name, category=category, n_records=n_records)
         self.machines[machine_idx] = row
         cat_sizes = self.category_sizes.get(category)
         if cat_sizes is None:
             cat_sizes = self.category_sizes[category] = Digest()
 
-        all_times: list[int] = []
-        data_times: list[int] = []
-        control_times: list[int] = []
-        for inst in instances:
-            all_times.append(inst.open_t)
-            if inst.open_failed:
-                continue
-            duration = inst.session_duration
-            self.session["all"].add(duration)
-            if inst.has_data:
-                data_times.append(inst.open_t)
-                self.session["data"].add(duration)
-                self.open_time["all"].add(duration)
-                if inst.is_remote:
-                    self.open_time["network"].add(duration)
-                else:
-                    self.open_time["local"].add(duration)
-                size = max(inst.file_size_max, 0)
-                self.size_opens[inst.usage].add(size)
-                self.size_bytes[inst.usage].add(size, inst.bytes_transferred)
-                cat_sizes.add(size)
-                for run in inst.sequential_runs(reads=True):
-                    self.runs_files["read"].add(run)
-                    self.runs_bytes["read"].add(run, run)
-                for run in inst.sequential_runs(reads=False):
-                    self.runs_files["write"].add(run)
-                    self.runs_bytes["write"].add(run, run)
-            else:
-                control_times.append(inst.open_t)
-                self.session["control"].add(duration)
+        opened = ~table.open_failed
+        data = opened & table.has_data
+        control = opened & ~table.has_data
+        duration = table.session_duration
+        self.session["all"].add_array(duration[opened])
+        self.session["data"].add_array(duration[data])
+        self.session["control"].add_array(duration[control])
+        self.open_time["all"].add_array(duration[data])
+        self.open_time["network"].add_array(duration[data & table.is_remote])
+        self.open_time["local"].add_array(duration[data & ~table.is_remote])
+        size = table.file_size_max
+        transferred = table.bytes_transferred
+        for code, usage in enumerate(USAGES, start=1):
+            rows = data & (table.usage == code)
+            self.size_opens[usage].add_array(size[rows])
+            self.size_bytes[usage].add_array(size[rows], transferred[rows])
+        cat_sizes.add_array(size[data])
+        for direction, start, runs in (
+                ("read", table.read_run_start, table.read_runs),
+                ("write", table.write_run_start, table.write_runs)):
+            runs = runs[np.repeat(data, np.diff(start))]
+            self.runs_files[direction].add_array(runs)
+            self.runs_bytes[direction].add_array(runs, runs)
 
-        for times, purpose in ((all_times, "all"), (data_times, "data"),
-                               (control_times, "control")):
-            if len(times) < 2:
-                continue
-            times.sort()
-            digest = self.interarrival[purpose]
-            prev = times[0]
-            for t in times[1:]:
-                digest.add(t - prev)
-                prev = t
+        # Failed opens count as arrivals too.
+        for times, purpose in ((table.open_t, "all"),
+                               (table.open_t[data], "data"),
+                               (table.open_t[control], "control")):
+            self.interarrival[purpose].add_array(np.diff(np.sort(times)))
 
-        n_created, deaths = death_events(instances)
+        n_created, deaths = death_events(table)
         row["n_created"] = n_created
-        sample: list[tuple[int, int]] = []
-        for d in deaths:
-            self.lifetime[d.method].add(d.lifetime)
-            if d.method in self.close_gap:
-                self.close_gap[d.method].add(d.close_gap)
-            self.death_size.add(d.size)
-            self.death_lifetime.add(d.lifetime)
-            sample.append((d.lifetime, d.size))
-        sample.sort()
+        for code, method in enumerate(METHODS):
+            died = deaths.method == code
+            self.lifetime[method].add_array(deaths.lifetime[died])
+            if method in self.close_gap:
+                self.close_gap[method].add_array(deaths.close_gap[died])
+        self.death_size.add_array(deaths.size)
+        self.death_lifetime.add_array(deaths.lifetime)
+        sample = sorted(zip(deaths.lifetime.tolist(), deaths.size.tolist()))
         self.death_sample = sorted(
             self.death_sample + sample[:DEATH_SAMPLE_CAP]
         )[:DEATH_SAMPLE_CAP]
@@ -512,7 +518,7 @@ class StatsSketch:
             self.size_bytes[u].merge(other.size_bytes[u])
         for k in self.open_time:
             self.open_time[k].merge(other.open_time[k])
-        for m in _METHODS:
+        for m in METHODS:
             self.lifetime[m].merge(other.lifetime[m])
         for m in self.close_gap:
             self.close_gap[m].merge(other.close_gap[m])
@@ -563,7 +569,7 @@ class StatsSketch:
                 "open_time": {k: v.to_dict()
                               for k, v in self.open_time.items()},
                 "lifetime": {m: self.lifetime[m].to_dict()
-                             for m in _METHODS},
+                             for m in METHODS},
                 "close_gap": {m: self.close_gap[m].to_dict()
                               for m in sorted(self.close_gap)},
                 "death_size": self.death_size.to_dict(),
@@ -612,7 +618,7 @@ class StatsSketch:
         sketch.open_time = {k: Digest.from_dict(v)
                             for k, v in inst["open_time"].items()}
         sketch.lifetime = {m: Digest.from_dict(inst["lifetime"][m])
-                           for m in _METHODS}
+                           for m in METHODS}
         sketch.close_gap = {m: Digest.from_dict(v)
                             for m, v in inst["close_gap"].items()}
         sketch.death_size = Digest.from_dict(inst["death_size"])
@@ -655,36 +661,21 @@ class StatsSketch:
 # Producers: one-pass folds.
 
 def fold_frame(sketch: StatsSketch, machine_idx: int, name: str,
-               category: str, frame: np.ndarray, name_records,
-               process_names: dict[int, str],
-               process_interactive: dict[int, bool]) -> None:
-    """Fold one machine's record frame and its name/process tables.
+               category: str, frame: np.ndarray, name_records) -> None:
+    """Fold one machine's record frame and its name records.
 
     The record-level statistics come from :meth:`StatsSketch._update_frame`;
-    the instances from the shared segment walker
-    :func:`~repro.analysis.sessions.frame_instances`, folded in
-    (open_t, fo_id) order.
+    the instances from the columnar instance table of
+    :func:`~repro.analysis.sessions.frame_instances`.
     """
     from repro.analysis.sessions import frame_instances
 
     sketch._update_frame(frame)
     # Last name record per file object wins, as in the warehouse.
-    file_info: dict[int, tuple] = {}
-    for nr in name_records:
-        file_info[nr.fo_id] = (nr.path, extension_of(nr.path),
-                               nr.volume_label, nr.volume_is_remote)
-
-    def process_lookup(pid: int):
-        pname = process_names.get(pid)
-        if pname is None:
-            return None
-        return (pname, process_interactive.get(pid, False))
-
-    instances = frame_instances(frame, lambda _row: machine_idx,
-                                file_info.get, process_lookup)
-    instances.sort(key=lambda s: (s.open_t, s.fo_id))
+    names = {nr.fo_id: (nr.path, nr.volume_label, nr.volume_is_remote)
+             for nr in name_records}
     sketch._fold_instances(machine_idx, name, category, len(frame),
-                           instances)
+                           frame_instances(frame, machine_idx, names.get))
 
 
 def fold_collector(sketch: StatsSketch, machine_idx: int, category: str,
@@ -692,8 +683,7 @@ def fold_collector(sketch: StatsSketch, machine_idx: int, category: str,
     """Fold one in-memory collector into the sketch (streaming campaign
     path: the collector is discarded right after)."""
     fold_frame(sketch, machine_idx, collector.machine_name, category,
-               collector.record_frame(), collector.name_records,
-               collector.process_names, collector.process_interactive)
+               collector.record_frame(), collector.name_records)
 
 
 def fold_store_file(sketch: StatsSketch, machine_idx: int, category: str,
@@ -701,8 +691,9 @@ def fold_store_file(sketch: StatsSketch, machine_idx: int, category: str,
     """Fold one archived ``.nttrace`` file, never building its collector."""
     stream = StoreStream(path)
     frame = stream.record_frame()
+    name_records, _processes, _interactive = stream.tail_sections()
     fold_frame(sketch, machine_idx, stream.machine_name, category, frame,
-               *stream.tail_sections())
+               name_records)
 
 
 def sketch_from_study(result: "StudyResult",
@@ -743,13 +734,13 @@ def sketch_from_warehouse(wh: "TraceWarehouse",
         wh.machine_idx, minlength=n_machines) if wh.n_records \
         else np.zeros(n_machines, dtype=np.int64)
     sketch._update_frame(wh.record_frame())
-    # Instance-level stats: the per-machine groups keep the (open_t,
-    # fo_id) order the streaming fold uses.
-    for idx, (name, group) in enumerate(zip(wh.machine_names,
-                                            wh.instances_by_machine())):
+    # Instance-level stats: one machine slice of the warehouse's table
+    # at a time, as the streaming fold sees them.
+    machines = wh.instance_table.by_machine(n_machines)
+    for idx, (name, table) in enumerate(zip(wh.machine_names, machines)):
         sketch._fold_instances(idx, name,
                                wh.machine_categories.get(name, "unknown"),
-                               int(per_machine_records[idx]), group)
+                               int(per_machine_records[idx]), table)
     return sketch
 
 
@@ -889,7 +880,7 @@ def streaming_figure_series(sketch: StatsSketch,
 
     figures["fig06_new_file_lifetimes"] = {
         m: sketch.lifetime[m].cdf_points(scale=TICKS_PER_SECOND)
-        for m in _METHODS if sketch.lifetime[m].n}
+        for m in METHODS if sketch.lifetime[m].n}
     sample = sketch.death_sample
     figures["fig07_size_vs_lifetime"] = {
         "scatter": (np.asarray([s for _lt, s in sample], dtype=float),
@@ -933,7 +924,7 @@ def format_streaming_report(sketch: StatsSketch,
         f"bytes read {sketch.record_bytes_read:,}   "
         f"written {sketch.record_bytes_written:,}",
     ]
-    deaths = sum(sketch.lifetime[m].n for m in _METHODS)
+    deaths = sum(sketch.lifetime[m].n for m in METHODS)
     created = sum(row["n_created"] for row in sketch.machines.values())
     if created:
         lines.append(f"  new files: {created:,} created, "

@@ -6,7 +6,8 @@ instances — because the instance table collapses per-session summaries
 that would otherwise be recomputed on every query.  This module is the
 same design in numpy: the trace table is a set of parallel arrays, filled
 by slicing each collector's record frame (no per-record Python); the
-instance table is built once by :mod:`repro.analysis.sessions` and cached.
+instance table is built once by :mod:`repro.analysis.sessions` as
+columns, and cached with its row views.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.nt.tracing.collector import TraceCollector
 from repro.nt.tracing.records import TraceEventKind, extension_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.sessions import Instance
+    from repro.analysis.sessions import Instance, InstanceTable
     from repro.workload.study import StudyResult
 
 # Global-id packing: per-machine ids are offset into disjoint ranges.
@@ -101,6 +102,7 @@ class TraceWarehouse:
         for name, column in zip(self.COLUMNS, table):
             setattr(self, name, column)
         self.n_records = n
+        self._instance_table: Optional["InstanceTable"] = None
         self._instances: Optional[list["Instance"]] = None
 
     def record_frame(self) -> np.ndarray:
@@ -163,11 +165,21 @@ class TraceWarehouse:
     # Instance fact table (built on demand, cached).
 
     @property
-    def instances(self) -> list["Instance"]:
+    def instance_table(self) -> "InstanceTable":
         """The per-open-close instance table (§4's second fact table)."""
+        if self._instance_table is None:
+            from repro.analysis.sessions import frame_instances
+            self._instance_table = frame_instances(
+                self.record_frame(), self.machine_idx, self.file_info)
+        return self._instance_table
+
+    @property
+    def instances(self) -> list["Instance"]:
+        """Row views of :attr:`instance_table`, in its (machine_idx,
+        open_t, fo_id) order."""
         if self._instances is None:
-            from repro.analysis.sessions import build_instances
-            self._instances = build_instances(self)
+            self._instances = self.instance_table.rows(self.file_for,
+                                                       self.process_for)
         return self._instances
 
     def instances_by_machine(self) -> list[list["Instance"]]:
@@ -184,6 +196,13 @@ class TraceWarehouse:
 
     def file_for(self, fo_gid: int) -> Optional[FileDimension]:
         return self.files.get(int(fo_gid))
+
+    def file_info(self, fo_gid: int) -> Optional[tuple[str, str, bool]]:
+        """``(path, volume_label, is_remote)`` of a file object, or None:
+        the file dimension :func:`frame_instances` reads."""
+        fdim = self.files.get(fo_gid)
+        return ((fdim.path, fdim.volume_label, fdim.is_remote)
+                if fdim is not None else None)
 
     def process_for(self, pid_gid: int) -> Optional[ProcessDimension]:
         return self.processes.get(int(pid_gid))

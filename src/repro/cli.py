@@ -59,6 +59,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.common.atomic import write_atomic
 from repro.common.config import ConfigError
 
 
@@ -362,7 +363,7 @@ def _write_perf_json(perf_by_machine, meta, path: Path) -> None:
     from repro.nt.perf import perf_json_bytes
 
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(perf_json_bytes(perf_by_machine, meta))
+    write_atomic(path, perf_json_bytes(perf_by_machine, meta))
     print(f"wrote perf counters to {path}")
 
 
@@ -499,7 +500,7 @@ def cmd_study(args: argparse.Namespace) -> int:
             path = path / ARTIFACT_FILENAME
         path.parent.mkdir(parents=True, exist_ok=True)
         data = study_artifact_bytes(result)
-        path.write_bytes(data)
+        write_atomic(path, data)
         print(f"wrote {path} ({len(data) / 1024:.0f} KB)")
     if args.report:
         print()

@@ -17,6 +17,11 @@ from __future__ import annotations
 SEQUENTIAL_FUZZ_MASK = ~0x7F
 
 
-def fuzzy_sequential(previous_end: int, offset: int) -> bool:
-    """True when ``offset`` continues ``previous_end`` under the 7-bit mask."""
+def fuzzy_sequential(previous_end, offset):
+    """True when ``offset`` continues ``previous_end`` under the 7-bit mask.
+
+    Takes ints, or equal-length int64 numpy arrays for the elementwise
+    comparison (a bool array) the instance table's run and pattern
+    columns use.
+    """
     return (offset & SEQUENTIAL_FUZZ_MASK) == (previous_end & SEQUENTIAL_FUZZ_MASK)

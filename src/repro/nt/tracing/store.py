@@ -19,6 +19,7 @@ from typing import BinaryIO, Union
 
 import numpy as np
 
+from repro.common.atomic import write_atomic
 from repro.nt.tracing.collector import TraceCollector
 from repro.nt.tracing.fastbuf import block_frame, pack_block, unpack_block
 from repro.nt.tracing.records import NameRecord, TraceRecord
@@ -230,7 +231,7 @@ def save_collector(collector: TraceCollector,
     payload = zlib.compress(pack_collector(collector), level=6)
     data = (_MAGIC_PREFIX + b"%d" % version
             + struct.pack("<Q", len(payload)) + payload)
-    Path(path).write_bytes(data)
+    write_atomic(path, data)
     return len(data)
 
 

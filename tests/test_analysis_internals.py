@@ -10,8 +10,9 @@ from repro.analysis.patterns import (
     USAGES,
 )
 from repro.analysis.report import Observation, ObservationSummary
-from repro.analysis.sessions import DataOp, Instance
+from repro.nt.tracing.records import TraceEventKind
 from repro.stats.descriptive import summarize
+from tests.instance_oracle import create, instances_of
 
 
 class TestTableConstants:
@@ -51,14 +52,24 @@ class TestObservationFormatting:
             summary.value("missing")
 
 
-def make_instance(**overrides):
-    fields = dict(fo_id=1, machine_idx=0, pid=1, process_name="t",
-                  interactive=False, path="\\f", extension="dat",
-                  volume_label="C", is_remote=False, open_t=100,
-                  open_status=0, open_duration=10, create_disposition=1,
-                  create_result=1, options=0, attributes=0)
-    fields.update(overrides)
-    return Instance(**fields)
+# make_instance's keyword names -> the create record's fields.
+_CREATE_FIELDS = {"open_status": "status", "create_result": "returned",
+                  "options": "options"}
+
+
+def make_instance(*events, cleanup_t=None, close_t=None, **overrides):
+    """The instance of an open at t=100 (10 ticks) followed by ``events``
+    and the given cleanup/close."""
+    fields = {"t_start": 100, "t_end": 110, "disposition": 1,
+              "returned": 1}
+    fields.update({_CREATE_FIELDS[k]: v for k, v in overrides.items()})
+    events = list(events)
+    for kind, t in ((TraceEventKind.IRP_CLEANUP, cleanup_t),
+                    (TraceEventKind.IRP_CLOSE, close_t)):
+        if t is not None:
+            events.append({"kind": kind, "t_start": t})
+    [inst] = instances_of(create(**fields), *events)
+    return inst
 
 
 class TestInstanceHelpers:
@@ -71,16 +82,14 @@ class TestInstanceHelpers:
         assert inst.close_gap == 60
 
     def test_session_end_fallbacks(self):
-        inst = make_instance()
-        assert inst.session_end_t == 100  # open_t when nothing else known
-        inst.ops.append(DataOp(t=500, is_read=True, offset=0, returned=10,
-                               is_fastio=False, duration=1,
-                               is_paging=False))
-        assert inst.session_end_t == 500
-        inst.close_t = 900
-        assert inst.session_end_t == 900
-        inst.cleanup_t = 700
-        assert inst.session_end_t == 700
+        # open_t when nothing else known
+        assert make_instance().session_end_t == 100
+        read = {"kind": TraceEventKind.IRP_READ, "t_start": 500,
+                "length": 10, "returned": 10}
+        assert make_instance(read).session_end_t == 500
+        assert make_instance(read, close_t=900).session_end_t == 900
+        assert make_instance(read, close_t=900,
+                             cleanup_t=700).session_end_t == 700
 
     def test_failed_open_properties(self):
         inst = make_instance(open_status=0xC0000034, create_result=-1)

@@ -172,7 +172,7 @@ def test_histogram_update_matches_observe(ticks):
 def test_empty_frame_is_a_noop_with_a_machine_row():
     sketch = StatsSketch()
     fold_frame(sketch, 3, "m03", "walkup",
-               np.empty((0, RECORD_FIELDS), dtype=np.int64), [], {}, {})
+               np.empty((0, RECORD_FIELDS), dtype=np.int64), [])
     fresh = StatsSketch().to_dict()
     doc = sketch.to_dict()
     assert doc["records"] == fresh["records"]
@@ -188,5 +188,5 @@ def test_empty_collector_folds_like_an_empty_frame():
     fold_collector(via_collector, 0, "walkup", TraceCollector("m00"))
     via_frame = StatsSketch()
     fold_frame(via_frame, 0, "m00", "walkup",
-               np.empty((0, RECORD_FIELDS), dtype=np.int64), [], {}, {})
+               np.empty((0, RECORD_FIELDS), dtype=np.int64), [])
     assert via_collector.sha256() == via_frame.sha256()

@@ -138,23 +138,16 @@ class TestInstances:
 
 class TestAccessPatternClassifier:
     def _instance_with_ops(self, ops, size):
-        from repro.analysis.sessions import DataOp, Instance
-        inst = Instance(
-            fo_id=1, machine_idx=0, pid=1, process_name="t",
-            interactive=False, path="\\f", extension="", volume_label="C",
-            is_remote=False, open_t=0, open_status=0, open_duration=1,
-            create_disposition=1, create_result=1, options=0, attributes=0)
-        inst.file_size_max = size
-        for i, (offset, length, is_read) in enumerate(ops):
-            inst.ops.append(DataOp(t=i, is_read=is_read, offset=offset,
-                                   returned=length, is_fastio=False,
-                                   duration=1, is_paging=False))
-            if is_read:
-                inst.n_reads += 1
-                inst.bytes_read += length
-            else:
-                inst.n_writes += 1
-                inst.bytes_written += length
+        from repro.nt.tracing.records import TraceEventKind
+        from tests.instance_oracle import create, instances_of
+        events = [create(t_start=0)]
+        for i, (offset, length, is_read) in enumerate(ops, start=1):
+            kind = (TraceEventKind.IRP_READ if is_read
+                    else TraceEventKind.IRP_WRITE)
+            events.append({"kind": kind, "t_start": i, "offset": offset,
+                           "length": length, "returned": length,
+                           "file_size": size})
+        [inst] = instances_of(*events)
         return inst
 
     def test_whole_file(self):
